@@ -38,7 +38,7 @@ from .bde import (
     lift,
     per_root_to_dict,
 )
-from .errors import EdgefolError, PropositionHypothesisViolated
+from .errors import DegenerateDiscriminant, EdgefolError, PropositionHypothesisViolated
 from .geometry import form_polynomials
 from .jets import EdgeJet
 
@@ -247,7 +247,8 @@ class EdgeClassification:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # exact (Fraction) invariants are written as JSON numbers
+        return json.dumps(self.to_dict(), indent=2, default=float)
 
 
 def _jet_invariants(jet: EdgeJet) -> dict:
@@ -271,8 +272,12 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind,
     """
     kind = FoliationKind(kind)
     bde = build_geometric_bde(jet, kind, degree_cap)
-    delta, case = delta_and_case(bde)
     inv = _jet_invariants(jet)
+    try:
+        delta, case = delta_and_case(bde)
+    except DegenerateDiscriminant as exc:
+        return EdgeClassification(kind, TopClass.DEGENERATE, None, inv,
+                                  degenerate_reason=f"{type(exc).__name__}: {exc}")
 
     if kind is FoliationKind.LINES_OF_CURVATURE:
         inv["b_origin"] = float(bde.B.coeff(0, 0))

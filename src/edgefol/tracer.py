@@ -4,9 +4,10 @@ Curves are integrated in ambient (u, v, p) with classical fixed-step RK4 on
 the lifted field, which is exactly tangent to every level set of F, so the
 on-surface residual is pure roundoff; a periodic Newton projection in p mops
 that up.  Charts are handled by one integrator core: the chart-q field of
-(A, B, C) equals the chart-p field of the u<->v swapped tensor, so a single
-code path serves both, and whole portraits integrate as one batch per chart
-and time direction.
+(A, B, C) equals the chart-p field of the u<->v swapped tensor, so one
+code path serves both, and every batch row carries its own chart, step and
+stops: a request integrates its charts, time directions and probed roots
+as one batch.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .bde import (
     lift,
     restricted_jacobian,
     solve_fiber_coordinate,
+    solve_quadratic,
 )
 from .errors import (
     ChartBreakdown,
@@ -110,33 +113,31 @@ class Portrait:
 
 # --- batched integrator core ---
 
-class _ChartCore:
-    """Compiled chart-p field of a BDE, with u/v swapping for chart q."""
+def _swap_uv(states, q):
+    """Public <-> internal coordinates: chart-q rows (mask `q`) swap u, v."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    return np.where(np.reshape(q, (-1, 1)), states[:, [1, 0, 2]], states)
 
-    def __init__(self, bde: BdeField, chart: str):
-        work = bde if chart == CHART_P else bde.swapped()
-        self.chart = chart
+
+class _ChartCore:
+    """Compiled lifted field of a BDE in chart p and, via the u/v swapped
+    tensor, chart q; each state row reads its chart's nine values (mask `q`)."""
+
+    def __init__(self, bde: BdeField):
         self.cset = CompiledPolySet([
-            work.A, work.B, work.C,
-            work.A.diff("u"), work.B.diff("u"), work.C.diff("u"),
-            work.A.diff("v"), work.B.diff("v"), work.C.diff("v"),
+            poly for work in (bde, bde.swapped())
+            for poly in (work.A, work.B, work.C,
+                         work.A.diff("u"), work.B.diff("u"), work.C.diff("u"),
+                         work.A.diff("v"), work.B.diff("v"), work.C.diff("v"))
         ])
 
-    def to_internal(self, states):
-        states = np.atleast_2d(np.asarray(states, dtype=float)).copy()
-        if self.chart == CHART_Q:
-            states[:, [0, 1]] = states[:, [1, 0]]
-        return states
+    def _values(self, S, q):
+        vals = self.cset.values(S[:, 0], S[:, 1])
+        return np.where(q, vals[9:], vals[:9])
 
-    def to_public(self, states):
-        states = np.asarray(states, dtype=float).copy()
-        if self.chart == CHART_Q:
-            states[:, [0, 1]] = states[:, [1, 0]]
-        return states
-
-    def rhs(self, S, normalize=False):
-        u, v, p = S[:, 0], S[:, 1], S[:, 2]
-        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self.cset.values(u, v)
+    def rhs(self, S, q, normalize=False):
+        p = S[:, 2]
+        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self._values(S, q)
         Fp = 2.0 * (A * p + B)
         Fu = (Au * p + 2.0 * Bu) * p + Cu
         Fv = (Av * p + 2.0 * Bv) * p + Cv
@@ -149,23 +150,23 @@ class _ChartCore:
             out /= (norms + 1e-300)[:, None]
         return out
 
-    def residual(self, S):
-        u, v, p = S[:, 0], S[:, 1], S[:, 2]
-        A, B, C = self.cset.values(u, v)[:3]
+    def residual(self, S, q):
+        p = S[:, 2]
+        A, B, C = self._values(S, q)[:3]
         return (A * p + 2.0 * B) * p + C
 
-    def residual_and_fp(self, S):
-        u, v, p = S[:, 0], S[:, 1], S[:, 2]
-        A, B, C = self.cset.values(u, v)[:3]
+    def residual_and_fp(self, S, q):
+        p = S[:, 2]
+        A, B, C = self._values(S, q)[:3]
         return (A * p + 2.0 * B) * p + C, 2.0 * (A * p + B)
 
-    def project_gradient(self, S):
+    def project_gradient(self, S, q):
         """One Newton step for F = 0 along the full gradient (in place).
 
         Unlike the p-only projection this also works where F_p vanishes
         (near the discriminant and in slow channels along the edge)."""
-        u, v, p = S[:, 0], S[:, 1], S[:, 2]
-        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self.cset.values(u, v)
+        p = S[:, 2]
+        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self._values(S, q)
         F = (A * p + 2.0 * B) * p + C
         Fu = (Au * p + 2.0 * Bu) * p + Cu
         Fv = (Av * p + 2.0 * Bv) * p + Cv
@@ -189,34 +190,36 @@ class _BatchResult:
 _RECORD_BUDGET = 6_000_000  # state rows held in the trajectory buffer
 
 
-def _integrate_batch(core: _ChartCore, states, *, step, max_steps,
-                     box=None, singular=(), singular_stop=1e-5,
+def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
+                     box=None, singular=None, singular_stop=1e-5,
                      chart_bound=CHART_BOUND, project_every=50,
                      normalize=False, record=True, project_mode="p",
-                     ball_center=None, ball_land=None, ball_exit=None,
-                     ball_transform=None):
+                     ball=None):
     """Fixed-step RK4 on the lifted field for a batch of internal states.
 
-    Stopping tests per state: box exit on the base coordinates, proximity to
-    singular points (0, 0, p_i), chart-variable blowup, and optionally
-    land/exit radii around `ball_center` measured in the surface-graph
-    coordinates (first base coordinate, chart variable), after an optional
-    2x2 `ball_transform` (used to measure in eigencoordinates, where the
-    linearized flow has no transient growth).  Terminated states freeze; the
-    loop ends when none remain.
+    Each row has its own chart (`q`), signed `step` and stopping tests: box
+    exit on the base coordinates, proximity to its chart's singular points
+    (0, 0, p_i) (`singular` maps chart -> p_i), chart-variable blowup, and
+    optionally land/exit radii of `ball = (center, land, exit, transform)`
+    measured in the surface-graph coordinates (first base coordinate, chart
+    variable), after the 2x2 `transform` (used to measure in
+    eigencoordinates, where the linearized flow has no transient growth).
+    Terminated rows freeze; the loop ends when none remain.
     """
     states = np.array(states, dtype=float)
     n = len(states)
+    q = np.broadcast_to(q, (n,))
+    step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
     if record and n * (max_steps + 1) > _RECORD_BUDGET:
         chunk = max(1, _RECORD_BUDGET // (max_steps + 1))
         parts = [
             _integrate_batch(
-                core, states[i:i + chunk], step=step, max_steps=max_steps,
+                core, states[i:i + chunk], q[i:i + chunk],
+                step=step[i:i + chunk], max_steps=max_steps,
                 box=box, singular=singular, singular_stop=singular_stop,
                 chart_bound=chart_bound, project_every=project_every,
                 normalize=normalize, record=record, project_mode=project_mode,
-                ball_center=ball_center, ball_land=ball_land,
-                ball_exit=ball_exit, ball_transform=ball_transform)
+                ball=ball and tuple(x[i:i + chunk] for x in ball))
             for i in range(0, n, chunk)
         ]
         return _BatchResult(
@@ -234,20 +237,26 @@ def _integrate_batch(core: _ChartCore, states, *, step, max_steps,
         buffer = np.empty((n, max_steps + 1, 3))
         buffer[:, 0] = S
     active = np.arange(n)
-    sing = np.asarray(singular, dtype=float)
-    h = step
+    # each row's singular points, padded with inf (never within reach)
+    sing_by_chart = [(singular or {}).get(c, ()) for c in (CHART_P, CHART_Q)]
+    sing = np.full((n, max(map(len, sing_by_chart))), np.inf)
+    for in_q, roots in enumerate(sing_by_chart):
+        sing[q == bool(in_q), :len(roots)] = roots
 
     # Near a vertical direction the chart variable escapes to infinity in
     # finite time and RK4 steps grow without bound.  A step larger than a few
     # percent of the current chart value is rejected rather than recorded:
     # the curve freezes at its last accepted sample (re-projected onto M)
     # with a chart-breakdown status so the caller can continue in the dual
-    # chart, where the motion is slow again.
-    cap_base = max(0.05, 50.0 * abs(step))
+    # chart, where the motion is slow again.  Per-row parameters, that step
+    # cap among them, are kept aligned with `active`.
+    h, abs_h = step[:, None], np.abs(step)
+    live = [q, 0.5 * h, h, h / 6.0, 5.0 * abs_h, 20.0 * abs_h,
+            np.maximum(0.05, 50.0 * abs_h), sing, *(ball or ())]
 
-    def _freeze_breakdown(rows, cur):
+    def _freeze_breakdown(rows, cur, qa):
         frozen = cur[rows]
-        f, fp = core.residual_and_fp(frozen)
+        f, fp = core.residual_and_fp(frozen, qa[rows])
         ok = np.abs(fp) > 1e-12
         frozen[ok, 2] -= f[ok] / fp[ok]
         for local, row in enumerate(rows):
@@ -258,45 +267,48 @@ def _integrate_batch(core: _ChartCore, states, *, step, max_steps,
                 buffer[idx, steps_used[idx]] = frozen[local]
 
     for k in range(1, max_steps + 1):
+        if active.size == 0:
+            break
+        qa, half_h, h, sixth_h, stiff_move, wild_move, cap, sg, *bl = live
         cur = S[active]
-        k1 = core.rhs(cur, normalize)
-        k2 = core.rhs(cur + 0.5 * h * k1, normalize)
-        k3 = core.rhs(cur + 0.5 * h * k2, normalize)
-        k4 = core.rhs(cur + h * k3, normalize)
-        nxt = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = core.rhs(cur, qa, normalize)
+        k2 = core.rhs(cur + half_h * k1, qa, normalize)
+        k3 = core.rhs(cur + half_h * k2, qa, normalize)
+        k4 = core.rhs(cur + h * k3, qa, normalize)
+        nxt = cur + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         move = np.abs(nxt - cur)
         # scheduled projection, plus a safety projection wherever the chart
         # variable is moving fast (stiff approach to a vertical direction,
         # where the 50-step cadence provably undershoots)
-        stiff = move[:, 2] > 5.0 * abs(step)
+        stiff = move[:, 2] > stiff_move
         scheduled = bool(project_every and k % project_every == 0)
         if scheduled and project_mode == "gradient":
-            core.project_gradient(nxt)
-        elif scheduled or np.any(stiff):
+            core.project_gradient(nxt, qa)
+        elif scheduled or stiff.any():
             rows = np.arange(len(nxt)) if scheduled else np.nonzero(stiff)[0]
-            f, fp = core.residual_and_fp(nxt[rows])
+            f, fp = core.residual_and_fp(nxt[rows], qa[rows])
             ok = np.abs(fp) > 1e-12
             sel = rows[ok]
             nxt[sel, 2] -= f[ok] / fp[ok]
         wild = (
             ~np.all(np.isfinite(nxt), axis=1)
             | (np.abs(nxt[:, 2]) > chart_bound)
-            | (move[:, 2] > np.maximum(20.0 * abs(step),
+            | (move[:, 2] > np.maximum(wild_move,
                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
-            | (np.maximum(move[:, 0], move[:, 1]) > cap_base)
+            | (np.maximum(move[:, 0], move[:, 1]) > cap)
         )
-        if np.any(wild):
-            _freeze_breakdown(np.nonzero(wild)[0], cur)
+        if wild.any():
+            _freeze_breakdown(np.nonzero(wild)[0], cur, qa)
             good = ~wild
             S[active[good]] = nxt[good]
             steps_used[active[good]] = k
             if record:
                 buffer[active[good], k] = nxt[good]
             active = active[good]
+            live = [x[good] for x in live]
+            sg, *bl = live[7:]
             nxt = nxt[good]
-            if active.size == 0:
-                break
         else:
             S[active] = nxt
             steps_used[active] = k
@@ -315,23 +327,21 @@ def _integrate_batch(core: _ChartCore, states, *, step, max_steps,
             _finish((np.abs(nxt[:, 0]) > box) | (np.abs(nxt[:, 1]) > box), TERM_BOX)
         if sing.size:
             d2 = (nxt[:, 0, None] ** 2 + nxt[:, 1, None] ** 2
-                  + (nxt[:, 2, None] - sing[None, :]) ** 2)
+                  + (nxt[:, 2, None] - sg) ** 2)
             _finish(d2.min(axis=1) < singular_stop**2, TERM_SINGULAR)
-        if ball_center is not None:
-            dw = nxt[:, 0] - ball_center[0]
-            dp = nxt[:, 2] - ball_center[1]
-            if ball_transform is not None:
-                dw, dp = (ball_transform[0, 0] * dw + ball_transform[0, 1] * dp,
-                          ball_transform[1, 0] * dw + ball_transform[1, 1] * dp)
+        if bl:
+            center, land, exit_, transform = bl
+            dw = nxt[:, 0] - center[:, 0]
+            dp = nxt[:, 2] - center[:, 1]
+            dw, dp = (transform[:, 0, 0] * dw + transform[:, 0, 1] * dp,
+                      transform[:, 1, 0] * dw + transform[:, 1, 1] * dp)
             r2 = dw * dw + dp * dp
-            if ball_land is not None:
-                _finish(r2 < ball_land**2, TERM_LANDED)
-            if ball_exit is not None:
-                _finish(r2 > ball_exit**2, TERM_EXITED)
+            _finish(r2 < land**2, TERM_LANDED)
+            _finish(r2 > exit_**2, TERM_EXITED)
 
-        active = active[~done]
-        if active.size == 0:
-            break
+        if done.any():
+            active = active[~done]
+            live = [x[~done] for x in live]
 
     for idx in active:
         status[idx] = TERM_CAP
@@ -341,7 +351,7 @@ def _integrate_batch(core: _ChartCore, states, *, step, max_steps,
     return _BatchResult(status=status, final=S, steps=steps_used, paths=paths)
 
 
-def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore) -> np.ndarray:
+def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore, q) -> np.ndarray:
     """Replace an out-of-box final sample by its interpolation to the boundary.
 
     The interpolated chart variable is Newton-polished back onto {F = 0} so
@@ -362,7 +372,7 @@ def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore) -> np.ndarray:
     path = path.copy()
     clipped = prev + s * (last - prev)
     for _ in range(8):
-        f, fp = core.residual_and_fp(clipped[None, :])
+        f, fp = core.residual_and_fp(clipped[None, :], q)
         if abs(fp[0]) < 1e-12 or abs(f[0]) < 1e-15:
             break
         clipped[2] -= f[0] / fp[0]
@@ -379,15 +389,16 @@ def _arclength(samples: np.ndarray) -> np.ndarray:
 
 def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
             seed_index=-1, is_separatrix=False) -> TracedCurve:
+    q = chart == CHART_Q
     if back_status == TERM_BOX:
-        back_path = _clip_to_box(back_path, box, core)
+        back_path = _clip_to_box(back_path, box, core, q)
     if fwd_status == TERM_BOX:
-        fwd_path = _clip_to_box(fwd_path, box, core)
+        fwd_path = _clip_to_box(fwd_path, box, core, q)
     if len(fwd_path) > 1:
         samples_internal = np.vstack([back_path[::-1], fwd_path[1:]])
     else:
         samples_internal = back_path[::-1]
-    samples = core.to_public(samples_internal)
+    samples = _swap_uv(samples_internal, q)
     return TracedCurve(
         samples=samples,
         t=_arclength(samples),
@@ -395,7 +406,7 @@ def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
         termination=fwd_status,
         termination_backward=back_status,
         is_separatrix=is_separatrix,
-        max_residual=float(np.max(np.abs(core.residual(samples_internal)))),
+        max_residual=float(np.max(np.abs(core.residual(samples_internal, q)))),
         seed_index=seed_index,
         seed_sample=len(back_path) - 1,
     )
@@ -418,21 +429,20 @@ def integrate_lifted(eq: LiftedEquation, seed, step: float, max_steps: int,
     if abs(fval) > seed_tol * scale:
         raise SeedOffSurface(f"|F(seed)| = {abs(fval):.3e} exceeds {seed_tol:.1e}")
 
-    core = _ChartCore(eq.bde, eq.chart)
-    internal = core.to_internal(seed[None, :])
-    results = {}
-    for direction in (-1.0, +1.0):
-        results[direction] = _integrate_batch(
-            core, internal, step=direction * step, max_steps=max_steps,
-            box=box, singular=singular_points, singular_stop=singular_stop,
-            chart_bound=chart_bound, project_every=project_every,
-        )
-    back, fwd = results[-1.0], results[+1.0]
-    curve = _stitch(core, np.array(back.paths[0]), np.array(fwd.paths[0]),
-                    back.status[0], fwd.status[0], box, eq.chart)
+    core = _ChartCore(eq.bde)
+    q = eq.chart == CHART_Q
+    # row 0 runs backward in time, row 1 forward
+    run = _integrate_batch(
+        core, np.repeat(_swap_uv(seed, q), 2, axis=0), q,
+        step=np.array([-step, step]), max_steps=max_steps, box=box,
+        singular={eq.chart: singular_points}, singular_stop=singular_stop,
+        chart_bound=chart_bound, project_every=project_every,
+    )
+    curve = _stitch(core, run.paths[0], run.paths[1], run.status[0],
+                    run.status[1], box, eq.chart)
     if TERM_CHART in (curve.termination, curve.termination_backward):
-        src = fwd if curve.termination == TERM_CHART else back
-        state = core.to_public(src.final)[0]
+        row = 1 if curve.termination == TERM_CHART else 0
+        state = _swap_uv(run.final[row], q)[0]
         raise ChartBreakdown(
             f"chart variable exceeded {chart_bound:g}",
             partial=curve, state=tuple(state),
@@ -441,18 +451,6 @@ def integrate_lifted(eq: LiftedEquation, seed, step: float, max_steps: int,
 
 
 # --- seeding ---
-
-def _quad_roots(a, b, c):
-    """Real roots of a x^2 + b x + c, numerically stable."""
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    q = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else s / 2.0
-    return [q / a, c / q] if q != 0.0 else [0.0, -b / a]
-
 
 def direction_roots(bde: BdeField, u: float, v: float):
     """Projective solution directions of the BDE at one base point.
@@ -469,10 +467,10 @@ def direction_roots(bde: BdeField, u: float, v: float):
         return []
     dirs = []
     if abs(a) >= abs(c) and a != 0.0:
-        for p in _quad_roots(a, 2.0 * b, c):
+        for p in solve_quadratic(a, 2.0 * b, c):
             dirs.append((1.0, p))
     elif c != 0.0:
-        for s in _quad_roots(c, 2.0 * b, a):
+        for s in solve_quadratic(c, 2.0 * b, a):
             dirs.append((s, 1.0))
     else:
         dirs = [(1.0, 0.0), (0.0, 1.0)]
@@ -513,55 +511,46 @@ def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis, offset: float):
     return seeds
 
 
-def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
-                    singular_by_chart) -> tuple[list, int]:
-    """Batched two-direction integration of (chart, state, is_separatrix)."""
-    curves_at = {}
-    warnings = 0
-    continuations = []
-    by_chart = {}
-    for index, (chart, state, is_sep) in enumerate(worklist):
-        by_chart.setdefault(chart, []).append((index, state, is_sep))
+def _trace_worklist(bde: BdeField, core: _ChartCore, worklist,
+                    config: TraceConfig, singular_by_chart):
+    """Integrate (chart, state, is_separatrix) seeds both ways in one batch.
 
-    for chart, entries in sorted(by_chart.items()):
-        core = _ChartCore(bde, chart)
-        states = core.to_internal(np.array([e[1] for e in entries]))
-        resid = np.abs(core.residual(states))
-        scale = max(1.0, bde.coefficient_scale())
-        ok = resid <= SEED_RESIDUAL_TOL * scale
-        warnings += int(np.sum(~ok))
-        entries = [e for e, good in zip(entries, ok) if good]
-        if not entries:
-            continue
-        states = states[ok]
-        sing = singular_by_chart.get(chart, ())
-        runs = {}
-        for direction in (-1.0, +1.0):
-            runs[direction] = _integrate_batch(
-                core, states, step=direction * config.step,
-                max_steps=config.max_steps, box=config.box, singular=sing,
-                singular_stop=config.singular_stop,
-                chart_bound=config.chart_bound,
-                project_every=config.project_every,
-            )
-        back, fwd = runs[-1.0], runs[+1.0]
-        for row, (index, _state, is_sep) in enumerate(entries):
-            curve = _stitch(core, np.array(back.paths[row]),
-                            np.array(fwd.paths[row]), back.status[row],
-                            fwd.status[row], config.box, chart,
-                            seed_index=index, is_separatrix=is_sep)
-            curves_at[index] = curve
-            for run in (back, fwd):
-                if run.status[row] == TERM_CHART:
-                    state = core.to_public(run.final[row][None, :])[0]
-                    # the exceptional fiber projects to a point: nothing to
-                    # continue there
-                    on_fiber = max(abs(state[0]), abs(state[1])) < 1e-12
-                    if abs(state[2]) > 0 and not on_fiber:
-                        dual = CHART_P if chart == CHART_Q else CHART_Q
-                        continuations.append(
-                            (dual, (state[0], state[1], 1.0 / state[2]), is_sep))
-    curves = [curves_at[i] for i in sorted(curves_at)]
+    Returns the curves in worklist order, the number of seeds dropped as off
+    M, and the chart-breakdown continuations: chart-p seeds first, each
+    chart in worklist order, backward before forward."""
+    entries = sorted(enumerate(worklist), key=lambda e: e[1][0])
+    q = np.array([chart == CHART_Q for _, (chart, _, _) in entries], dtype=bool)
+    states = _swap_uv(np.reshape([e[1][1] for e in entries], (-1, 3)), q)
+    resid = np.abs(core.residual(states, q))
+    ok = resid <= SEED_RESIDUAL_TOL * max(1.0, bde.coefficient_scale())
+    warnings = int(np.sum(~ok))
+    entries = [e for e, good in zip(entries, ok) if good]
+    n = len(entries)
+    # rows 0..n-1 run backward in time, rows n..2n-1 forward
+    run = _integrate_batch(
+        core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
+        step=np.repeat([-config.step, config.step], n),
+        max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
+        singular_stop=config.singular_stop, chart_bound=config.chart_bound,
+        project_every=config.project_every,
+    )
+    curves, continuations = [], []
+    for row, (index, (chart, _state, is_sep)) in enumerate(entries):
+        curves.append(_stitch(
+            core, run.paths[row], run.paths[n + row], run.status[row],
+            run.status[n + row], config.box, chart, seed_index=index,
+            is_separatrix=is_sep))
+        for r in (row, n + row):
+            if run.status[r] == TERM_CHART:
+                state = _swap_uv(run.final[r], chart == CHART_Q)[0]
+                # the exceptional fiber projects to a point: nothing to
+                # continue there
+                on_fiber = max(abs(state[0]), abs(state[1])) < 1e-12
+                if abs(state[2]) > 0 and not on_fiber:
+                    dual = CHART_P if chart == CHART_Q else CHART_Q
+                    continuations.append(
+                        (dual, (state[0], state[1], 1.0 / state[2]), is_sep))
+    curves.sort(key=lambda c: c.seed_index)
     return curves, warnings, continuations
 
 
@@ -609,11 +598,12 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
         except EdgefolError:
             warnings += 1
 
+    core = _ChartCore(bde)
     curves, warn2, continuations = _trace_worklist(
-        bde, worklist, config, singular_by_chart)
+        bde, core, worklist, config, singular_by_chart)
     warnings += warn2
     if continuations:
-        more, warn3, _ = _trace_worklist(bde, continuations, config,
+        more, warn3, _ = _trace_worklist(bde, core, continuations, config,
                                          singular_by_chart)
         for c in more:
             c.seed_index = -1
@@ -883,19 +873,19 @@ class SectorCount:
                 and self.sectors == 2)
 
 
-def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
-                       *, radius: float = 0.02, probes_per_side: int = 8,
-                       land_fraction: float = 0.05,
-                       exit_fraction: float = 3.0) -> SectorCount:
-    """Probe the flow near one lifted singular point and count local sectors.
+class _ProbeCircle(NamedTuple):
+    """Probe seeds on M around one lifted singular point (0, 0, root)."""
 
-    Probes seed on a small circle around (0, 0, p_i) in the eigencoordinates
-    of the restricted linearization (so anisotropy and shear cause no
-    spurious transient exits) and integrate the unit-speed field both ways.
-    All probes escaping both ways is the saddle pattern (4 hyperbolic
-    sectors); all probes converging in a common time direction is the node
-    pattern (2 landing fans).
-    """
+    q: bool                      # chart q (else chart p)
+    root: float
+    rho: float
+    inverse: np.ndarray          # (graph coordinate, chart variable) -> eigen
+    weak_index: int
+    internal: np.ndarray         # internal coordinates
+
+
+def _probe_circle(bde: BdeField, core: _ChartCore, analysis: CubicAnalysis,
+                  root_index: int, radius: float, probes_per_side: int) -> _ProbeCircle:
     root = analysis.roots[root_index]
     chart = analysis.chart
     if abs(root) > 1.0:
@@ -908,7 +898,6 @@ def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
     gap = min((abs(root - o) for o in others), default=math.inf)
 
     eq = lift(bde, chart)
-    core = _ChartCore(bde, chart)
 
     # eigenbasis of the restricted Jacobian in (graph coordinate, chart
     # variable); columns normalized, fall back to identity if degenerate
@@ -916,8 +905,19 @@ def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
     eigvals, eigvecs = np.linalg.eig(jac)
     basis = np.real(eigvecs)
     norms = np.linalg.norm(basis, axis=0)
+    lam = np.real(eigvals)
     if np.any(np.abs(np.imag(eigvals)) > 1e-9 * np.abs(eigvals).max()) \
-            or np.any(norms == 0.0) or abs(np.linalg.det(basis / norms)) < 1e-3:
+            or np.any(norms == 0.0):
+        basis = np.eye(2)
+    elif lam[0] * lam[1] > 0.0 and abs(np.linalg.det(basis / norms)) < 1e-2:
+        # nearly defective node: its eigencoordinates magnify errors into
+        # spurious exits.  Schur vectors, the second shrunk until the shear is
+        # below the eigenvalues, make the linear flow monotone in the norm.
+        v = basis[:, 0] / norms[0]
+        u = np.array([-v[1], v[0]])
+        shrink = math.sqrt(lam[0] * lam[1]) / max(abs(v @ jac @ u), 1e-300)
+        basis = np.column_stack([v, min(1.0, shrink) * u])
+    elif abs(np.linalg.det(basis / norms)) < 1e-3:
         basis = np.eye(2)
     else:
         basis = basis / norms
@@ -940,67 +940,104 @@ def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
         base = -span + 2 * span * (k + 0.5) / probes_per_side
         angles.extend([base, base + math.pi])
 
-    states = []
+    states = []                  # internal coordinates of either chart
     for psi in angles:
         dw, dp = basis @ (rho * math.cos(psi), rho * math.sin(psi))
         p = root + dp
         w = solve_fiber_coordinate(eq, dw, p, start=root * dw)
-        state = (w, dw, p) if chart == CHART_Q else (dw, w, p)
-        states.append(state)
-    internal = core.to_internal(np.array(states))
-    resid = np.abs(core.residual(internal))
+        states.append((dw, w, p))
+    internal = np.array(states)
+    resid = np.abs(core.residual(internal, chart == CHART_Q))
     keep = resid <= 1e-9 * max(1.0, bde.coefficient_scale())
-    internal = internal[keep]
-    n = len(internal)
-    if n < probes_per_side:
-        return SectorCount(None, "ambiguous", 0, 0, 0, n)
+    weak_index = int(np.argmin(np.abs(np.real(eigvals))))
+    return _ProbeCircle(chart == CHART_Q, root, rho, inverse, weak_index,
+                        internal[keep])
 
-    def _eigencoords(states):
-        delta = np.stack([states[:, 0], states[:, 2] - root], axis=0)
-        return inverse @ delta
 
-    y_seed = _eigencoords(internal)
-    weak_index = int(np.argmin(np.abs(np.real(eigvals)))) \
-        if basis.shape == (2, 2) else 0
+def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
+                        *, radius: float = 0.02, probes_per_side: int = 8,
+                        land_fraction: float = 0.05,
+                        exit_fraction: float = 3.0) -> list:
+    """Probe the flow near lifted singular points and count local sectors.
 
-    outcomes = {}
-    for direction in (+1.0, -1.0):
+    Probes seed on a small circle around (0, 0, p_i) in the eigencoordinates
+    of the restricted linearization (so anisotropy and shear cause no
+    spurious transient exits) and integrate the unit-speed field both ways.
+    All probes escaping both ways is the saddle pattern (4 hyperbolic
+    sectors); all probes converging in a common time direction is the node
+    pattern (2 landing fans).  One SectorCount per root in `indices` (every
+    root by default); all their probes and both directions share one batch.
+    """
+    core = _ChartCore(bde)
+    if indices is None:
+        indices = range(len(analysis.roots))
+    circles = [_probe_circle(bde, core, analysis, i, radius, probes_per_side)
+               for i in indices]
+    # each circle with enough probes: its forward rows, then its backward rows
+    live = [c for c in circles if len(c.internal) >= probes_per_side]
+    sizes = [2 * len(c.internal) for c in live]
+
+    def per_row(values):
+        return np.repeat(np.array(values), sizes, axis=0)
+
+    if live:
         res = _integrate_batch(
-            core, internal, step=direction * rho / 60.0,
+            core, np.vstack([np.vstack([c.internal] * 2) for c in live]),
+            per_row([c.q for c in live]),
+            step=np.concatenate([np.repeat([c.rho / 60.0, -c.rho / 60.0],
+                                           len(c.internal)) for c in live]),
             max_steps=24000, box=None, record=False, normalize=True,
             project_every=10, project_mode="gradient",
             chart_bound=CHART_BOUND,
-            ball_center=(0.0, root), ball_land=land_fraction * rho,
-            ball_exit=exit_fraction * rho, ball_transform=inverse,
+            ball=(per_row([(0.0, c.root) for c in live]),
+                  per_row([land_fraction * c.rho for c in live]),
+                  per_row([exit_fraction * c.rho for c in live]),
+                  per_row([c.inverse for c in live])),
         )
-        status = list(res.status)
-        # step-capped probes creep along the weak manifold too slowly for
-        # the arclength budget; classify them by whether the weak
-        # eigencoordinate contracted (inward fan) or expanded (slow escape)
-        if TERM_CAP in status:
-            y_final = _eigencoords(res.final)
-            for i, s in enumerate(status):
-                if s != TERM_CAP:
-                    continue
-                w0 = abs(y_seed[weak_index, i])
-                wT = abs(y_final[weak_index, i])
-                inside = np.hypot(y_final[0, i], y_final[1, i]) <= rho
-                if wT <= 0.6 * max(w0, 1e-30) and inside:
-                    status[i] = TERM_LANDED
-                elif wT >= 1.8 * w0:
-                    status[i] = TERM_EXITED
-        outcomes[direction] = status
 
-    fwd_land = sum(1 for s in outcomes[+1.0] if s == TERM_LANDED)
-    bwd_land = sum(1 for s in outcomes[-1.0] if s == TERM_LANDED)
-    both_exit = sum(
-        1 for sf, sb in zip(outcomes[+1.0], outcomes[-1.0])
-        if sf == TERM_EXITED and sb == TERM_EXITED
-    )
-    if both_exit >= n - 1 and fwd_land + bwd_land <= 1:
-        return SectorCount(4, SADDLE, fwd_land, bwd_land, both_exit, n)
-    if fwd_land >= n - 1 and bwd_land == 0:
-        return SectorCount(2, NODE, fwd_land, bwd_land, both_exit, n)
-    if bwd_land >= n - 1 and fwd_land == 0:
-        return SectorCount(2, NODE, fwd_land, bwd_land, both_exit, n)
-    return SectorCount(None, "ambiguous", fwd_land, bwd_land, both_exit, n)
+    def eigencoords(c, states):
+        return c.inverse @ np.stack([states[:, 0], states[:, 2] - c.root], axis=0)
+
+    counts, start = [], 0
+    for c in circles:
+        n = len(c.internal)
+        if n < probes_per_side:
+            counts.append(SectorCount(None, "ambiguous", 0, 0, 0, n))
+            continue
+        y_seed = eigencoords(c, c.internal)
+        outcomes = []                    # forward, then backward
+        for rows in (slice(start, start + n), slice(start + n, start + 2 * n)):
+            status = res.status[rows].copy()
+            # step-capped probes creep along the weak manifold too slowly for
+            # the arclength budget; classify them by whether the weak
+            # eigencoordinate contracted (inward fan) or expanded (slow escape)
+            if TERM_CAP in status:
+                y_final = eigencoords(c, res.final[rows])
+                w0 = np.abs(y_seed[c.weak_index])
+                wT = np.abs(y_final[c.weak_index])
+                capped = status == TERM_CAP
+                landed = (wT <= 0.6 * np.maximum(w0, 1e-30)) \
+                    & (np.hypot(*y_final) <= c.rho)
+                status[capped & landed] = TERM_LANDED
+                status[capped & ~landed & (wT >= 1.8 * w0)] = TERM_EXITED
+            outcomes.append(status)
+        start += 2 * n
+
+        fwd_land, bwd_land = (int(np.sum(s == TERM_LANDED)) for s in outcomes)
+        both_exit = int(np.sum((outcomes[0] == TERM_EXITED)
+                               & (outcomes[1] == TERM_EXITED)))
+        if both_exit >= n - 1 and fwd_land + bwd_land <= 1:
+            pattern = (4, SADDLE)
+        elif (fwd_land >= n - 1 and bwd_land == 0) \
+                or (bwd_land >= n - 1 and fwd_land == 0):
+            pattern = (2, NODE)
+        else:
+            pattern = (None, "ambiguous")
+        counts.append(SectorCount(*pattern, fwd_land, bwd_land, both_exit, n))
+    return counts
+
+
+def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
+                       **options) -> SectorCount:
+    """`local_sector_counts` for the single root `root_index`."""
+    return local_sector_counts(bde, analysis, (root_index,), **options)[0]

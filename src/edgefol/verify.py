@@ -40,7 +40,7 @@ from .foliations import (
 from .geometry import form_polynomials, series_expansion_report
 from .jets import EdgeJet, sample_generic_jet
 from .poly import Poly2
-from .tracer import local_sector_count
+from .tracer import local_sector_counts
 
 _GEOMETRIC_KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
 
@@ -182,11 +182,9 @@ def _sector_trial(args):
     jet = sample_generic_jet(_trial_seed(master, 6, index), "edge_degenerate")
     bde = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(bde, CHART_Q))
-    for i, data in enumerate(analysis.per_root):
-        count = local_sector_count(bde, analysis, i)
-        if not count.matches(data.lifted_type):
-            return False, 1.0
-    return True, 0.0
+    ok = all(c.matches(d.lifted_type) for c, d in
+             zip(local_sector_counts(bde, analysis), analysis.per_root))
+    return ok, 0.0 if ok else 1.0
 
 
 def _lc_trial(args):

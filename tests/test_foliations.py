@@ -242,6 +242,18 @@ def test_classify_degenerate_on_stratum_never_raises():
             assert cls.degenerate_reason
 
 
+def test_classify_degenerate_discriminant_reported_not_raised():
+    # generic jet with a tiny b20: the characteristic delta and its
+    # differential both vanish at the origin within tolerance
+    jet = EdgeJet(a20=1.8326254198917673, a30=-1.1288815147959674,
+                  b20=0.00016399349644413697, b30=0.8770688933117707,
+                  b12=-1.9014670044780781, b03=0.14352657812054792)
+    cls = classify_edge_foliation(jet, FoliationKind.CHARACTERISTIC)
+    assert cls.top_class is TopClass.DEGENERATE
+    assert cls.degenerate_reason.startswith("DegenerateDiscriminant")
+    assert json.loads(cls.to_json())["degenerate_reason"]
+
+
 def test_closed_form_analysis_error_lists_failures():
     with pytest.raises(PropositionHypothesisViolated) as info:
         closed_form_analysis(EdgeJet(0.0, 0.0, 1.0, 0.5, 0.0, 1.0),
@@ -281,6 +293,16 @@ def test_classification_serializes():
     assert "convention_note" in data
     assert set(data["invariants"]) >= {"D", "phi", "alpha", "b20",
                                        "b30_minus_a20_b12", "common_root_guard"}
+
+
+def test_fraction_classification_serializes_exact_values_as_numbers():
+    jet = EdgeJet(*(Fraction(x) for x in ("0", "0", "0", "1/10", "-1", "1")))
+    for kind in FoliationKind:
+        cls = classify_edge_foliation(jet, kind)
+        assert isinstance(cls.invariants["b20"], Fraction)
+        data = json.loads(cls.to_json())
+        assert data["invariants"]["b20"] == 0.0
+        assert data["top_class"] == cls.top_class.value
 
 
 def test_classifier_agrees_between_closed_form_and_derivative_routes():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edgefol.bde import BdeField, CHART_Q, Case, cubic_analysis, lift
+from edgefol.bde import BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift
 from edgefol.errors import ChartBreakdown, SeedOffSurface, WindowTooSmall
 from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.geometry import surface_polynomials
@@ -14,10 +14,14 @@ from edgefol.poly import CompiledPolySet, Poly2
 from edgefol.tracer import (
     CuspClass,
     TraceConfig,
+    _ChartCore,
+    _integrate_batch,
+    _probe_circle,
     detect_cusp_order,
     direction_roots,
     integrate_lifted,
     local_sector_count,
+    local_sector_counts,
     project_to_surface,
     trace_portrait,
 )
@@ -96,8 +100,16 @@ def test_chart_breakdown_raises_with_partial():
               CHART_Q)
     with pytest.raises(ChartBreakdown) as info:
         integrate_lifted(eq, (0.0, 0.0, 5.0), 1e-2, 200000, 0.5)
-    assert info.value.partial is not None
+    partial = info.value.partial
+    assert partial is not None
     assert info.value.state is not None
+    # the state handed on for continuation is the broken half's last sample
+    assert "chart_breakdown" in (partial.termination,
+                                 partial.termination_backward)
+    end = partial.samples[-1] if partial.termination == "chart_breakdown" \
+        else partial.samples[0]
+    assert np.array_equal(end, info.value.state)
+    assert np.array_equal(partial.samples[partial.seed_sample], (0.0, 0.0, 5.0))
 
 
 def test_step_halving_convergence():
@@ -159,6 +171,63 @@ def test_sector_counts_match_types_on_worked_jets():
                 count = local_sector_count(field, analysis, i)
                 assert count.matches(data.lifted_type), (jet, kind, i)
                 assert count.sectors == (4 if data.lifted_type == "saddle" else 2)
+
+
+def test_mixed_batch_rows_match_one_row_batches():
+    """Rows of one batch (both charts, both time directions, each with its
+    own probe ball and its chart's singular set) follow exactly the
+    trajectory they follow alone."""
+    field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    core = _ChartCore(field)
+    circles = [_probe_circle(field, core, analysis, i, 0.02, 8)
+               for i in range(len(analysis.roots))]
+    assert {c.q for c in circles} == {True, False}
+    # (state, chart q, step, ball center, land, exit, transform): probes of
+    # every saddle, plus a fiber seed that runs into the singular points
+    rows = [(c.internal[k], c.q, d * c.rho / 60.0, (0.0, c.root),
+             0.05 * c.rho, 3.0 * c.rho, c.inverse)
+            for c in circles for k in (0, 5, 11) for d in (1.0, -1.0)]
+    rows += [((0.0, 0.0, 0.0), True, d, (0.0, 0.0), 0.0, 1e9, np.eye(2))
+             for d in (1e-3, -1e-3)]
+    states, q, step, *ball = (np.array(col) for col in zip(*rows))
+    options = dict(max_steps=3000, record=False, normalize=True,
+                   project_every=10, project_mode="gradient", singular_stop=2e-3,
+                   singular={CHART_Q: analysis.roots,
+                             CHART_P: [1.0 / r for r in analysis.roots]})
+    mixed = _integrate_batch(core, states, q, step=step, ball=tuple(ball),
+                             **options)
+    assert set(mixed.status) == {"exited", "singular_point", "step_cap"}
+    for r in range(len(rows)):
+        one = _integrate_batch(core, states[r:r + 1], q[r:r + 1],
+                               step=step[r:r + 1],
+                               ball=tuple(x[r:r + 1] for x in ball), **options)
+        assert (mixed.status[r], mixed.steps[r]) == (one.status[0], one.steps[0])
+        assert np.array_equal(mixed.final[r], one.final[0])
+
+
+def test_batched_sector_counts_equal_single_root_counts():
+    jets = [THREE_SADDLES_JET] + [sample_generic_jet(seed, "edge_degenerate")
+                                  for seed in range(20)]
+    for jet in jets:
+        field = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
+        analysis = cubic_analysis(lift(field, CHART_Q))
+        single = [local_sector_count(field, analysis, i)
+                  for i in range(len(analysis.roots))]
+        assert local_sector_counts(field, analysis) == single
+
+
+def test_sector_counts_nearly_defective_node():
+    # the node's eigenvectors are almost parallel (|det| of the normalized
+    # eigenbasis 1.04e-3), so eigencoordinates turned two probes into exits
+    jet = EdgeJet(1.2898415012961335, -1.844196083413999, 0.0,
+                  0.6747014326340315, 0.4152125286841195, -1.2496927738898154)
+    field = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    assert [r.lifted_type for r in analysis.per_root] == ["node", "saddle", "saddle"]
+    counts = local_sector_counts(field, analysis)
+    assert [c.matches(r.lifted_type) for c, r in zip(counts, analysis.per_root)] \
+        == [True] * 3
 
 
 def test_sector_counts_find_nodes():
