@@ -39,7 +39,7 @@ from .bde import (
     per_root_to_dict,
 )
 from .errors import DegenerateDiscriminant, EdgefolError, PropositionHypothesisViolated
-from .geometry import form_polynomials
+from .geometry import _half, form_polynomials
 from .jets import EdgeJet
 
 DEFAULT_DEGREE_CAP = 6
@@ -93,7 +93,7 @@ def build_geometric_bde(jet: EdgeJet, kind: FoliationKind,
         C = (E * M2 - F * L2).truncated(pre).divide_v()
         return BdeField(
             A.truncated(degree_cap),
-            (twoB * _half_like(jet)).truncated(degree_cap),
+            (twoB * _half(jet)).truncated(degree_cap),
             C.truncated(degree_cap),
             provenance="lc",
         )
@@ -103,11 +103,6 @@ def build_geometric_bde(jet: EdgeJet, kind: FoliationKind,
     C = (L2 * (G * L2 - E * N2) - 2 * M2 * (F * L2 - E * M2)).truncated(pre).divide_v()
     return BdeField(A.truncated(degree_cap), B.truncated(degree_cap),
                     C.truncated(degree_cap), provenance="characteristic")
-
-
-def _half_like(jet):
-    one = jet.b03 / jet.b03
-    return one / 2
 
 
 # --- closed-form analysis ---

@@ -2,7 +2,10 @@
 
 Rendering is a pure function of its inputs: floats are formatted with a
 fixed precision and elements are emitted in deterministic order, so a given
-portrait and style always produce byte-identical documents.
+portrait and style always produce byte-identical documents.  Arrays are
+formatted one curve at a time: a CSV curve is one `%.9g` format call over
+its rows and a polyline one `%.6g,%.6g` call over its points, where `-0.0`
+prints as `0` (as every other SVG number does).
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def _thin(points_xy):
 
 
 def _polyline(points_xy, *, color, width, dashed=False, cls="curve") -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in _thin(np.asarray(points_xy)))
+    xy = _thin(np.asarray(points_xy)) * (1.0, -1.0) + 0.0   # -0.0 -> 0.0
+    pts = " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist())
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     return (f'<polyline class="{cls}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash} points="{pts}" />')
@@ -106,7 +110,8 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
     )
     parts = [header]
     tag = top_class if top_class is not None else "unclassified"
-    parts.append(f"<!-- top_class: {tag} | case: {portrait.case.value} -->")
+    case = portrait.case.value if portrait.case is not None else "unknown"
+    parts.append(f"<!-- top_class: {tag} | case: {case} -->")
     scale = 2.0 * b / style.size_px   # stroke widths given in pixels
 
     for line in portrait.discriminant_locus:
@@ -198,7 +203,7 @@ def curves_to_csv(portrait: Portrait, jet: EdgeJet | None = None) -> str:
     image = None
     if jet is not None:
         image = CompiledPolySet(list(surface_polynomials(jet)))
-    lines = ["t,u,v,p,x,y,z,curve_id,separatrix"]
+    parts = ["t,u,v,p,x,y,z,curve_id,separatrix\n"]
     for cid, curve in enumerate(portrait.curves):
         uvp = curve.samples
         if image is not None:
@@ -206,10 +211,7 @@ def curves_to_csv(portrait: Portrait, jet: EdgeJet | None = None) -> str:
         else:
             xyz = np.full((len(uvp), 3), np.nan)
         flag = 1 if curve.is_separatrix else 0
-        for k in range(len(uvp)):
-            lines.append(
-                f"{curve.t[k]:.9g},{uvp[k, 0]:.9g},{uvp[k, 1]:.9g},"
-                f"{uvp[k, 2]:.9g},{xyz[k, 0]:.9g},{xyz[k, 1]:.9g},"
-                f"{xyz[k, 2]:.9g},{cid},{flag}"
-            )
-    return "\n".join(lines) + "\n"
+        row = "%.9g," * 7 + f"{cid},{flag}\n"
+        rows = np.column_stack([curve.t, uvp, xyz]).ravel().tolist()
+        parts.append((row * len(uvp)) % tuple(rows))
+    return "".join(parts)

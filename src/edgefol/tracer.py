@@ -34,6 +34,7 @@ from .bde import (
     SADDLE,
     cubic_analysis,
     delta_and_case,
+    discriminant_poly,
     lift,
     restricted_jacobian,
     solve_fiber_coordinate,
@@ -41,6 +42,7 @@ from .bde import (
 )
 from .errors import (
     ChartBreakdown,
+    DegenerateDiscriminant,
     EdgefolError,
     FitIllConditioned,
     SeedOffSurface,
@@ -102,7 +104,7 @@ class Portrait:
     singular_points: tuple       # ((chart value, lifted type), ...) over the origin
     discriminant_locus: list     # polylines of {delta = 0}
     box: float
-    case: Case
+    case: Case | None            # None: discriminant too degenerate to split
     analysis: CubicAnalysis | None = None
     warnings: int = 0
 
@@ -561,10 +563,16 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
     Seeds a uniform grid on each box side (one seed per direction branch),
     adds four separatrix seeds per lifted saddle, traces everything in
     batched RK4, and extracts the discriminant locus by marching squares.
-    Failed seeds are dropped and counted in `warnings`.
+    Failed seeds are dropped and counted in `warnings`.  A discriminant
+    too degenerate for the case split leaves `case` None (one warning):
+    tracing and the locus do not need it.
     """
-    delta, case = delta_and_case(bde)
     warnings = 0
+    try:
+        delta, case = delta_and_case(bde)
+    except DegenerateDiscriminant:
+        delta, case = discriminant_poly(bde), None
+        warnings += 1
     if case is Case.CASE3 and analysis is None:
         try:
             analysis = cubic_analysis(lift(bde, CHART_Q))
@@ -619,57 +627,51 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
 # --- discriminant locus by marching squares ---
 
 def discriminant_locus(delta, box: float, grid: int = 512):
-    """Polylines of {delta = 0} inside the box, by marching squares."""
+    """Polylines of {delta = 0} inside the box, by marching squares.
+
+    The edge crossings of all mixed cells are computed as arrays, laid out
+    cell-major (cells in row-major grid order) and, within a cell, in edge
+    order bottom, right, top, left; consecutive crossings of a cell pair
+    into its one or two segments.
+    """
     xs = np.linspace(-box, box, grid)
     cp = delta.compiled()
     U = np.vander(xs, cp.du + 1, increasing=True)
     V = np.vander(xs, cp.dv + 1, increasing=True)
     vals = U @ cp.mat @ V.T       # vals[i, j] = delta(xs[i], xs[j])
-    segments = []
     pos = vals > 0.0
-
-    def interp(x0, y0, f0, x1, y1, f1):
-        s = f0 / (f0 - f1)
-        return (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
-
-    mixed = np.nonzero(
+    i, j = np.nonzero(
         (pos[:-1, :-1] != pos[1:, :-1]) | (pos[:-1, :-1] != pos[:-1, 1:])
         | (pos[:-1, :-1] != pos[1:, 1:])
     )
-    for i, j in zip(*mixed):
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = xs[j], xs[j + 1]
-        f00, f10 = vals[i, j], vals[i + 1, j]
-        f01, f11 = vals[i, j + 1], vals[i + 1, j + 1]
-        crossings = []
-        if (f00 > 0) != (f10 > 0):
-            crossings.append(interp(x0, y0, f00, x1, y0, f10))
-        if (f10 > 0) != (f11 > 0):
-            crossings.append(interp(x1, y0, f10, x1, y1, f11))
-        if (f01 > 0) != (f11 > 0):
-            crossings.append(interp(x0, y1, f01, x1, y1, f11))
-        if (f00 > 0) != (f01 > 0):
-            crossings.append(interp(x0, y0, f00, x0, y1, f01))
-        if len(crossings) == 2:
-            segments.append((crossings[0], crossings[1]))
-        elif len(crossings) == 4:
-            segments.append((crossings[0], crossings[1]))
-            segments.append((crossings[2], crossings[3]))
+    x0, x1, y0, y1 = xs[i], xs[i + 1], xs[j], xs[j + 1]
+    f00, f10 = vals[i, j], vals[i + 1, j]
+    f01, f11 = vals[i, j + 1], vals[i + 1, j + 1]
+    edges = (((x0, y0, f00), (x1, y0, f10)), ((x1, y0, f10), (x1, y1, f11)),
+             ((x0, y1, f01), (x1, y1, f11)), ((x0, y0, f00), (x0, y1, f01)))
+    crossings = np.empty((len(i), 4, 2))
+    hit = np.empty((len(i), 4), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, ((xa, ya, fa), (xb, yb, fb)) in enumerate(edges):
+            s = fa / (fa - fb)
+            crossings[:, e, 0] = xa + s * (xb - xa)
+            crossings[:, e, 1] = ya + s * (yb - ya)
+            hit[:, e] = (fa > 0) != (fb > 0)
+    segments = crossings[hit].reshape(-1, 2, 2)
     return _chain_segments(segments, tol=(xs[1] - xs[0]) * 1e-6)
 
 
 def _chain_segments(segments, tol):
-    """Join segments sharing endpoints into polylines."""
-    if not segments:
-        return []
+    """Join segments (an (m, 2, 2) array) sharing endpoints into polylines.
 
-    def key(pt):
-        return (round(pt[0] / tol), round(pt[1] / tol))
-
+    Endpoint 2 * idx + end is point `end` of segment idx; endpoints meet when
+    their coordinates agree after rounding to multiples of tol.
+    """
+    points = segments.reshape(-1, 2)
+    keys = [tuple(k) for k in np.round(points / tol).astype(np.int64).tolist()]
     adjacency = {}
-    for idx, (p0, p1) in enumerate(segments):
-        adjacency.setdefault(key(p0), []).append((idx, 0))
-        adjacency.setdefault(key(p1), []).append((idx, 1))
+    for n, k in enumerate(keys):
+        adjacency.setdefault(k, []).append(n)
 
     used = [False] * len(segments)
     polylines = []
@@ -677,24 +679,20 @@ def _chain_segments(segments, tol):
         if used[start]:
             continue
         used[start] = True
-        chain = [segments[start][0], segments[start][1]]
+        chain = [2 * start, 2 * start + 1]
         for endwise in (1, 0):
             while True:
                 tail = chain[-1] if endwise else chain[0]
-                hits = [
-                    (idx, end) for idx, end in adjacency.get(key(tail), [])
-                    if not used[idx]
-                ]
+                hits = [n for n in adjacency[keys[tail]] if not used[n // 2]]
                 if not hits:
                     break
-                idx, end = hits[0]
-                used[idx] = True
-                nxt = segments[idx][1 - end]
+                used[hits[0] // 2] = True
+                nxt = hits[0] ^ 1    # the other end of the joined segment
                 if endwise:
                     chain.append(nxt)
                 else:
                     chain.insert(0, nxt)
-        polylines.append(np.array(chain))
+        polylines.append(points[chain])
     return polylines
 
 

@@ -1,14 +1,17 @@
 """SVG rendering: well-formedness, counts, determinism, camera math."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from edgefol import render
 from edgefol.errors import EmptyPortrait
 from edgefol.foliations import FoliationKind, build_geometric_bde
+from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet
-from edgefol.poly import Poly2
+from edgefol.poly import CompiledPolySet, Poly2
 from edgefol.bde import BdeField
 from edgefol.render import (
     RenderStyle,
@@ -20,6 +23,7 @@ from edgefol.tracer import (
     Portrait,
     SurfaceCurve,
     TraceConfig,
+    TracedCurve,
     project_to_surface,
     trace_portrait,
 )
@@ -148,3 +152,95 @@ def test_curves_to_csv_layout(three_saddles_portrait):
     # x column equals u column for the normal form
     assert abs(float(first[1]) - float(first[4])) < 1e-12
     assert {line.split(",")[-1] for line in lines[1:]} == {"0", "1"}
+
+
+# --- array formatting against the per-value formatters it replaced ---
+
+def _fmt_reference(x):
+    return "0" if x == 0 else f"{x:.6g}"
+
+
+def _polyline_reference(points_xy, *, color, width, dashed=False, cls="curve"):
+    pts = " ".join(f"{_fmt_reference(x)},{_fmt_reference(-y)}"
+                   for x, y in render._thin(np.asarray(points_xy)))
+    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    return (f'<polyline class="{cls}" fill="none" stroke="{color}" '
+            f'stroke-width="{_fmt_reference(width)}"{dash} points="{pts}" />')
+
+
+def _csv_reference(portrait, jet=None):
+    image = None
+    if jet is not None:
+        image = CompiledPolySet(list(surface_polynomials(jet)))
+    lines = ["t,u,v,p,x,y,z,curve_id,separatrix"]
+    for cid, curve in enumerate(portrait.curves):
+        uvp = curve.samples
+        if image is not None:
+            xyz = np.stack(image.values(uvp[:, 0], uvp[:, 1]), axis=1)
+        else:
+            xyz = np.full((len(uvp), 3), np.nan)
+        flag = 1 if curve.is_separatrix else 0
+        for k in range(len(uvp)):
+            lines.append(
+                f"{curve.t[k]:.9g},{uvp[k, 0]:.9g},{uvp[k, 1]:.9g},"
+                f"{uvp[k, 2]:.9g},{xyz[k, 0]:.9g},{xyz[k, 1]:.9g},"
+                f"{xyz[k, 2]:.9g},{cid},{flag}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _edge_value_portrait():
+    special = np.array([
+        [0.0, -0.0, 1e-300],
+        [-0.0, 0.0, -1e17],
+        [1e-300, -1e-300, 0.0],
+        [-1e17, 0.25, -0.0],
+        [0.1234567891234, -2.5e-7, 3.0],
+    ])
+    rng = np.random.default_rng(3)
+    long = rng.normal(scale=0.3, size=(1501, 3))
+    long[::97] = 0.0
+    long[1::89, 1] = -0.0
+    curves = [
+        TracedCurve(samples=special, t=np.array([0.0, -0.0, 1e-300, -1e17, 7.0]),
+                    chart="p", termination="box_exit",
+                    termination_backward="box_exit", is_separatrix=True),
+        TracedCurve(samples=long, t=np.cumsum(rng.random(len(long))) - 3.0,
+                    chart="q", termination="step_cap",
+                    termination_backward="box_exit"),
+    ]
+    locus = [np.array([[-0.0, 0.0], [0.0, -0.0], [1e-300, -1e17]]), long[:800, :2]]
+    return Portrait(curves=curves, singular_points=((0.5, "saddle"),),
+                    discriminant_locus=locus, box=0.5, case=None)
+
+
+def test_array_formatting_matches_per_value_reference(monkeypatch):
+    portrait = _edge_value_portrait()
+    assert len(portrait.curves[1]) > render._MAX_POLYLINE_POINTS   # _thin runs
+    for jet in (None, THREE_SADDLES_JET):          # jet=None writes nan xyz
+        assert curves_to_csv(portrait, jet) == _csv_reference(portrait, jet)
+    assert ",nan,nan,nan,0,1\n" in curves_to_csv(portrait)
+    curves3d = [SurfaceCurve(points=c.samples, kind=kind)
+                for c, kind in zip(portrait.curves, ("separatrix", "edge"))]
+    curves3d.append(SurfaceCurve(points=np.array([[0.0, -0.0, 0.0],
+                                                  [1e-300, 0.0, -0.0]]),
+                                 kind="discriminant"))
+    svg = portrait_to_svg(portrait, top_class="Degenerate")
+    surface = surface_view_to_svg(curves3d)
+    assert "case: unknown" in svg
+    numbers = [n for p in ET.fromstring(svg).findall(f"{NS}polyline")
+               for n in p.get("points").replace(",", " ").split()]
+    assert "0" in numbers and "-0" not in numbers
+    monkeypatch.setattr(render, "_polyline", _polyline_reference)
+    assert svg == portrait_to_svg(portrait, top_class="Degenerate")
+    assert surface == surface_view_to_svg(curves3d)
+
+
+def test_three_saddles_output_bytes_pinned(three_saddles_portrait):
+    # sha256 of the documents written by the per-value formatter
+    svg = portrait_to_svg(three_saddles_portrait, top_class="ThreeSaddles")
+    csv = curves_to_csv(three_saddles_portrait, THREE_SADDLES_JET)
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "871b2bcd0eaf9aa5b9f7fea3e78320b065d2921733cfc02e5bb6e07472a4b6ce")
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "e086fe9865d1fe41f3adc9fd8b3a7150359bb3292857adb149cf3835c34aecde")

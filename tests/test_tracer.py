@@ -11,6 +11,7 @@ from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
+from edgefol.render import portrait_to_svg
 from edgefol.tracer import (
     CuspClass,
     TraceConfig,
@@ -19,6 +20,7 @@ from edgefol.tracer import (
     _probe_circle,
     detect_cusp_order,
     direction_roots,
+    discriminant_locus,
     integrate_lifted,
     local_sector_count,
     local_sector_counts,
@@ -160,6 +162,119 @@ def test_portrait_regular_pair_empty_locus():
     assert portrait.case is Case.CASE1_REGULAR
     assert portrait.discriminant_locus == []
     assert portrait.curves
+
+
+DEGENERATE_DISCRIMINANT_JET = EdgeJet(
+    1.8326254198917673, -1.1288815147959674, 0.00016399349644413697,
+    0.8770688933117707, -1.9014670044780781, 0.14352657812054792)
+
+
+def test_portrait_of_degenerate_discriminant_has_unknown_case():
+    # delta and its differential vanish at the origin: no case split, but
+    # the curves and the locus are still traced
+    bde = build_geometric_bde(DEGENERATE_DISCRIMINANT_JET,
+                              FoliationKind.CHARACTERISTIC)
+    portrait = trace_portrait(bde, TraceConfig(box=0.15, seeds_per_side=24,
+                                               max_steps=120))
+    assert portrait.case is None
+    assert portrait.analysis is None
+    assert portrait.warnings >= 1
+    assert portrait.curves
+    assert portrait.discriminant_locus
+    svg = portrait_to_svg(portrait, top_class="Degenerate")
+    assert "<!-- top_class: Degenerate | case: unknown -->" in svg
+
+
+def _locus_reference(delta, box, grid=512):
+    """The per-cell marching squares and per-endpoint chaining loop that
+    discriminant_locus must reproduce bit for bit."""
+    xs = np.linspace(-box, box, grid)
+    cp = delta.compiled()
+    vals = (np.vander(xs, cp.du + 1, increasing=True) @ cp.mat
+            @ np.vander(xs, cp.dv + 1, increasing=True).T)
+    pos = vals > 0.0
+
+    def interp(x0, y0, f0, x1, y1, f1):
+        s = f0 / (f0 - f1)
+        return (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+
+    segments = []
+    mixed = np.nonzero(
+        (pos[:-1, :-1] != pos[1:, :-1]) | (pos[:-1, :-1] != pos[:-1, 1:])
+        | (pos[:-1, :-1] != pos[1:, 1:]))
+    for i, j in zip(*mixed):
+        x0, x1, y0, y1 = xs[i], xs[i + 1], xs[j], xs[j + 1]
+        f00, f10 = vals[i, j], vals[i + 1, j]
+        f01, f11 = vals[i, j + 1], vals[i + 1, j + 1]
+        crossings = []
+        if (f00 > 0) != (f10 > 0):
+            crossings.append(interp(x0, y0, f00, x1, y0, f10))
+        if (f10 > 0) != (f11 > 0):
+            crossings.append(interp(x1, y0, f10, x1, y1, f11))
+        if (f01 > 0) != (f11 > 0):
+            crossings.append(interp(x0, y1, f01, x1, y1, f11))
+        if (f00 > 0) != (f01 > 0):
+            crossings.append(interp(x0, y0, f00, x0, y1, f01))
+        for k in range(0, len(crossings), 2):
+            segments.append((crossings[k], crossings[k + 1]))
+
+    tol = (xs[1] - xs[0]) * 1e-6
+
+    def key(pt):
+        return (round(pt[0] / tol), round(pt[1] / tol))
+
+    adjacency = {}
+    for idx, (p0, p1) in enumerate(segments):
+        adjacency.setdefault(key(p0), []).append((idx, 0))
+        adjacency.setdefault(key(p1), []).append((idx, 1))
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        chain = [segments[start][0], segments[start][1]]
+        for endwise in (1, 0):
+            while True:
+                tail = chain[-1] if endwise else chain[0]
+                hits = [(idx, end) for idx, end in adjacency.get(key(tail), [])
+                        if not used[idx]]
+                if not hits:
+                    break
+                idx, end = hits[0]
+                used[idx] = True
+                nxt = segments[idx][1 - end]
+                if endwise:
+                    chain.append(nxt)
+                else:
+                    chain.insert(0, nxt)
+        polylines.append(np.array(chain))
+    return polylines, segments
+
+
+@pytest.mark.parametrize("name", ["saddle", "circle", "empty"])
+def test_discriminant_locus_matches_loop_reference_bitwise(name):
+    delta = {
+        "saddle": U * V,
+        "circle": U * U + V * V + Poly2.const(-0.09),
+        "empty": U * U + V * V + ONE,
+    }[name]
+    box = 0.5
+    expected, segments = _locus_reference(delta, box)
+    got = discriminant_locus(delta, box)
+    assert len(got) == len(expected)
+    for line, ref in zip(got, expected):
+        assert line.dtype == ref.dtype and line.shape == ref.shape
+        assert line.tobytes() == ref.tobytes()
+    if name == "saddle":
+        # 510 cells on each axis give one segment; the centre cell holds the
+        # origin, crosses on all four edges and gives two
+        assert len(segments) == 2 * 510 + 2
+    elif name == "circle":
+        assert len(got) == 1
+        assert np.array_equal(got[0][0], got[0][-1])     # closed
+    else:
+        assert got == []
 
 
 def test_sector_counts_match_types_on_worked_jets():
