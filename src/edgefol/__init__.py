@@ -6,64 +6,15 @@ with closed-form invariants cross-checked against independent numerical
 oracles.
 """
 
-from .bde import (
-    BdeField,
-    Case,
-    CubicAnalysis,
-    LiftedEquation,
-    TopClass,
-    classify_type2,
-    cubic_analysis,
-    delta_and_case,
-    lift,
-    lifted_field,
-    mmfd_determinant,
-)
-from .foliations import (
-    EdgeClassification,
-    FoliationKind,
-    build_geometric_bde,
-    classify_edge_foliation,
-    closed_form_analysis,
-    genericity_membership,
-)
-from .geometry import (
-    FormCoefficients,
-    SurfaceEval,
-    eval_surface,
-    fundamental_forms,
-    series_expansion_report,
-)
-from .jets import EdgeJet, HigherTerms, load_jet, sample_generic_jet, validate_jet
+from .foliations import FoliationKind, build_geometric_bde, classify_edge_foliation
+from .jets import EdgeJet, sample_generic_jet
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BdeField",
-    "Case",
-    "CubicAnalysis",
-    "EdgeClassification",
     "EdgeJet",
     "FoliationKind",
-    "FormCoefficients",
-    "HigherTerms",
-    "LiftedEquation",
-    "SurfaceEval",
-    "TopClass",
     "build_geometric_bde",
     "classify_edge_foliation",
-    "classify_type2",
-    "closed_form_analysis",
-    "cubic_analysis",
-    "delta_and_case",
-    "eval_surface",
-    "fundamental_forms",
-    "genericity_membership",
-    "lift",
-    "lifted_field",
-    "load_jet",
-    "mmfd_determinant",
     "sample_generic_jet",
-    "series_expansion_report",
-    "validate_jet",
 ]

@@ -12,22 +12,27 @@ The lifted field on the surface M = {F = 0} is, per chart,
     chart "q": xi = (q F_q, F_q, -(q F_u + F_v))
 
 both of which satisfy grad F . xi == 0 identically, so integral curves stay on
-every level set of F exactly.
+every level set of F exactly.  The chart-q equation of (A, B, C) is the
+chart-p equation of the u/v swapped tensor, so one compiled evaluator,
+`_ChartCore`, computes F, grad F and xi for both charts: the tracer's RK4
+loop, the fiber Newton solve and the differenced Jacobian all read it.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
-has eigenvalues alpha(p_i) and -phi'(p_i).  The sign of their product decides
-saddle (negative) versus node (positive); this is the convention used by the
-topological classifier and confirmed by the sector-count oracle in the
-tracer module.
+has eigenvalues alpha(p_i) and -phi'(p_i).  `analyse_cubic` computes them,
+for the cubic read off the BDE (`cubic_analysis`) and for the closed forms
+alike.  The sign of their product decides saddle (negative) versus node
+(positive); this is the convention used by the topological classifier and
+confirmed by the sector-count oracle in the tracer module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .errors import (
     InvariantViolation,
 )
 from .invariants import cubic_discriminant
-from .poly import Poly2
+from .poly import CompiledPolySet, Poly2
 
 CASE_TOL = 1e-10
 DISCRIMINANT_TOL = 1e-9
@@ -196,6 +201,84 @@ CHART_P = "p"
 CHART_Q = "q"
 
 
+class _ChartCore:
+    """The compiled lifted field of a BDE in both charts.
+
+    It is the one evaluator of F, grad F and xi: the integrator, the fiber
+    Newton solve and the differenced Jacobian all read it.  State rows are
+    internal coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in
+    chart q, since the chart-q equation of (A, B, C) is the chart-p equation
+    of the u/v swapped tensor.  Each row reads its chart's nine values
+    (mask `q`).
+    """
+
+    def __init__(self, bde: BdeField):
+        self.cset = CompiledPolySet([
+            poly for work in (bde, bde.swapped())
+            for poly in (work.A, work.B, work.C,
+                         work.A.diff("u"), work.B.diff("u"), work.C.diff("u"),
+                         work.A.diff("v"), work.B.diff("v"), work.C.diff("v"))
+        ])
+
+    def _values(self, S, q):
+        vals = self.cset.values(S[:, 0], S[:, 1])
+        return np.where(q, vals[9:], vals[:9])
+
+    @staticmethod
+    def _F(vals, p):
+        A, B, C = vals[:3]
+        return (A * p + 2.0 * B) * p + C
+
+    @staticmethod
+    def _gradient(vals, p):
+        """(F_u, F_v, F_p) along the internal columns (w, x, p)."""
+        A, B, _, Au, Bu, Cu, Av, Bv, Cv = vals
+        return ((Au * p + 2.0 * Bu) * p + Cu,
+                (Av * p + 2.0 * Bv) * p + Cv,
+                2.0 * (A * p + B))
+
+    def F_and_gradient(self, S, q):
+        vals, p = self._values(S, q), S[:, 2]
+        return (self._F(vals, p), *self._gradient(vals, p))
+
+    def field(self, S, q):
+        """xi = (F_p, p F_p, -(F_u + p F_v)) per internal row."""
+        p = S[:, 2]
+        Fu, Fv, Fp = self._gradient(self._values(S, q), p)
+        out = np.empty_like(S)
+        out[:, 0] = Fp
+        out[:, 1] = p * Fp
+        out[:, 2] = -(Fu + p * Fv)
+        return out
+
+    def rhs(self, S, q, normalize=False):
+        out = self.field(S, q)
+        if normalize:
+            norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+            out /= (norms + 1e-300)[:, None]
+        return out
+
+    def residual(self, S, q):
+        return self._F(self._values(S, q), S[:, 2])
+
+    def residual_and_fp(self, S, q):
+        vals, p = self._values(S, q), S[:, 2]
+        return self._F(vals, p), self._gradient(vals, p)[2]
+
+    def project_gradient(self, S, q):
+        """One Newton step for F = 0 along the full gradient (in place).
+
+        Unlike the p-only projection this also works where F_p vanishes
+        (near the discriminant and in slow channels along the edge)."""
+        F, Fu, Fv, Fp = self.F_and_gradient(S, q)
+        gn2 = Fu * Fu + Fv * Fv + Fp * Fp
+        ok = gn2 > 1e-24
+        scale = np.where(ok, F / np.where(ok, gn2, 1.0), 0.0)
+        S[:, 0] -= scale * Fu
+        S[:, 1] -= scale * Fv
+        S[:, 2] -= scale * Fp
+
+
 @dataclass(frozen=True)
 class LiftedEquation:
     """A BDE lifted to one affine chart of the direction line."""
@@ -210,34 +293,10 @@ class LiftedEquation:
     def dual(self) -> "LiftedEquation":
         return LiftedEquation(self.bde, CHART_P if self.chart == CHART_Q else CHART_Q)
 
-    def F(self, u, v, p):
-        a, b, c = self.bde.A(u, v), self.bde.B(u, v), self.bde.C(u, v)
-        if self.chart == CHART_P:
-            return a * p * p + 2 * b * p + c
-        return a + 2 * b * p + c * p * p
-
-    def gradient(self, u, v, p):
-        """(F_u, F_v, F_p) at a point."""
-        au, bu, cu = (q.diff("u")(u, v) for q in (self.bde.A, self.bde.B, self.bde.C))
-        av, bv, cv = (q.diff("v")(u, v) for q in (self.bde.A, self.bde.B, self.bde.C))
-        a, b, c = self.bde.A(u, v), self.bde.B(u, v), self.bde.C(u, v)
-        if self.chart == CHART_P:
-            return (
-                au * p * p + 2 * bu * p + cu,
-                av * p * p + 2 * bv * p + cv,
-                2 * a * p + 2 * b,
-            )
-        return (
-            au + 2 * bu * p + cu * p * p,
-            av + 2 * bv * p + cv * p * p,
-            2 * b + 2 * c * p,
-        )
-
-    def field(self, u, v, p) -> np.ndarray:
-        fu, fv, fp = self.gradient(u, v, p)
-        if self.chart == CHART_P:
-            return np.array([fp, p * fp, -(fu + p * fv)], dtype=float)
-        return np.array([p * fp, fp, -(p * fu + fv)], dtype=float)
+    @cached_property
+    def core(self) -> _ChartCore:
+        """The compiled field of the BDE, built once per equation."""
+        return _ChartCore(self.bde)
 
     def origin_jet(self):
         """First-order data (au, bu, cu, av, bv, cv) at the origin."""
@@ -264,11 +323,6 @@ class LiftedEquation:
 
 def lift(bde: BdeField, chart: str = CHART_Q) -> LiftedEquation:
     return LiftedEquation(bde, chart)
-
-
-def lifted_field(eq: LiftedEquation, u, v, p) -> np.ndarray:
-    """The chart-consistent lifted vector field at one point."""
-    return eq.field(u, v, p)
 
 
 # --- cubic root solving ---
@@ -367,35 +421,15 @@ class CubicAnalysis:
         return sum(1 for r in self.per_root if r.lifted_type == SADDLE)
 
 
-def _alpha_value(alpha, x):
-    return polyval(alpha, x)
-
-
-def cubic_analysis(eq: LiftedEquation,
-                   d_tol: float = DISCRIMINANT_TOL,
-                   common_root_tol: float = COMMON_ROOT_TOL) -> CubicAnalysis:
-    """Roots and eigen data of the singularity cubic of a Type-2 BDE.
-
-    If the cubic's leading coefficient vanishes in the requested chart (a
-    direction at infinity), the dual chart is analyzed instead and the result
-    reported there; the two charts cover the projective direction line.
-    """
-    phi = tuple(float(x) for x in eq.phi_coefficients())
-    phi_scale = max(abs(x) for x in phi) if any(phi) else 0.0
+def analyse_cubic(phi, alpha, chart: str,
+                  d_tol: float = DISCRIMINANT_TOL,
+                  common_root_tol: float = COMMON_ROOT_TOL) -> CubicAnalysis:
+    """Roots of the singularity cubic phi and the eigenvalues alpha(p_i) and
+    -phi'(p_i) at each, from float coefficients (highest degree first)."""
+    phi_scale = max(abs(x) for x in phi)
     if phi_scale == 0.0:
         raise DiscriminantNearZero("singularity cubic vanishes identically")
-    if abs(phi[0]) <= 1e-12 * phi_scale:
-        dual = eq.dual()
-        dual_phi = tuple(float(x) for x in dual.phi_coefficients())
-        if abs(dual_phi[0]) <= 1e-12 * max(abs(x) for x in dual_phi):
-            raise DiscriminantNearZero(
-                "cubic leading coefficient vanishes in both charts"
-            )
-        eq, phi = dual, dual_phi
-        phi_scale = max(abs(x) for x in phi)
-
-    norm = tuple(c / phi_scale for c in phi)
-    d_normalized = float(cubic_discriminant(*norm))
+    d_normalized = float(cubic_discriminant(*(c / phi_scale for c in phi)))
     d_value = float(cubic_discriminant(*phi))
     if abs(d_normalized) < d_tol:
         raise DiscriminantNearZero(
@@ -409,28 +443,49 @@ def cubic_analysis(eq: LiftedEquation,
             f"discriminant sign predicts {expected} real roots, solver found {len(roots)}"
         )
 
-    alpha = tuple(float(x) for x in eq.alpha_coefficients())
     alpha_scale = max(abs(x) for x in alpha) if any(alpha) else 1.0
     dphi = (3.0 * phi[0], 2.0 * phi[1], phi[2])
-
     per_root = []
     for r in roots:
-        a_val = _alpha_value(alpha, r)
+        a_val = alpha[0] * r * r + alpha[1] * r + alpha[2]
         if abs(a_val) / alpha_scale < common_root_tol:
             raise CommonRoot(
                 f"alpha({r:.6g}) = {a_val:.3e} vanishes; cubic and eigenvalue "
                 "quadratic share a root"
             )
-        mpp = -polyval(dphi, r)
+        mpp = -(dphi[0] * r * r + dphi[1] * r + dphi[2])
         prod = a_val * mpp
         per_root.append(RootData(
             root=r, alpha=a_val, minus_phi_prime=mpp, eigen_product=prod,
             lifted_type=SADDLE if prod < 0 else NODE,
         ))
     return CubicAnalysis(
-        chart=eq.chart, phi=phi, alpha=alpha, D=d_value,
+        chart=chart, phi=tuple(phi), alpha=tuple(alpha), D=d_value,
         D_normalized=d_normalized, roots=tuple(roots), per_root=tuple(per_root),
     )
+
+
+def cubic_analysis(eq: LiftedEquation,
+                   d_tol: float = DISCRIMINANT_TOL,
+                   common_root_tol: float = COMMON_ROOT_TOL) -> CubicAnalysis:
+    """Roots and eigen data of the singularity cubic of a Type-2 BDE.
+
+    If the cubic's leading coefficient vanishes in the requested chart (a
+    direction at infinity), the dual chart is analyzed instead and the result
+    reported there; the two charts cover the projective direction line.
+    """
+    phi = tuple(float(x) for x in eq.phi_coefficients())
+    phi_scale = max(abs(x) for x in phi)
+    if phi_scale != 0.0 and abs(phi[0]) <= 1e-12 * phi_scale:
+        dual = eq.dual()
+        dual_phi = tuple(float(x) for x in dual.phi_coefficients())
+        if abs(dual_phi[0]) <= 1e-12 * max(abs(x) for x in dual_phi):
+            raise DiscriminantNearZero(
+                "cubic leading coefficient vanishes in both charts"
+            )
+        eq, phi = dual, dual_phi
+    alpha = tuple(float(x) for x in eq.alpha_coefficients())
+    return analyse_cubic(phi, alpha, eq.chart, d_tol, common_root_tol)
 
 
 def hessian_det_origin(delta: Poly2) -> float:
@@ -472,24 +527,27 @@ def solve_fiber_coordinate(eq: LiftedEquation, v, p, start, tol=1e-13, iters=30)
     """Solve F(., v, p) = 0 for the remaining coordinate by Newton.
 
     In chart q the surface M is a graph u = u(v, q) near a singular point
-    with F_u != 0; in chart p it is a graph v = v(u, p).  `start` seeds the
-    iteration; returns the solved coordinate.
+    with F_u != 0; in chart p it is a graph v = v(u, p).  Either way the
+    internal row is (v, x, p) and the Newton step uses F_x.  `start` seeds
+    the iteration.  `v`, `p` and `start` may be arrays: each entry is solved
+    on its own, all in one evaluation per iteration.  Returns the solved
+    coordinate(s).
     """
-    x = float(start)
+    v, x, p = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (v, start, p)))
+    rows = np.stack([v.ravel(), x.ravel(), p.ravel()], axis=1)
+    live = np.arange(len(rows))
     for _ in range(iters):
-        if eq.chart == CHART_Q:
-            f = eq.F(x, v, p)
-            df = eq.gradient(x, v, p)[0]
-        else:
-            f = eq.F(v, x, p)
-            df = eq.gradient(v, x, p)[1]
-        if df == 0.0:
+        f, _, df, _ = eq.core.F_and_gradient(rows[live], eq.chart == CHART_Q)
+        moving = df != 0.0
+        step = f[moving] / df[moving]
+        live = live[moving]
+        rows[live, 1] -= step
+        live = live[np.abs(step) >= tol]
+        if live.size == 0:
             break
-        step = f / df
-        x -= step
-        if abs(step) < tol:
-            break
-    return x
+    x = rows[:, 1].reshape(v.shape)
+    return float(x) if x.ndim == 0 else x
 
 
 def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.ndarray:
@@ -500,16 +558,6 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
     around the singular point give the 2x2 linearization whose eigenvalues
     are alpha(root) and -phi'(root).
     """
-
-    def restricted_field(w, p):
-        if eq.chart == CHART_Q:
-            u = solve_fiber_coordinate(eq, w, p, start=root * w)
-            fu, fv, fp = eq.gradient(u, w, p)
-            return np.array([fp, -(p * fu + fv)])
-        v = solve_fiber_coordinate(eq, w, p, start=root * w)
-        fu, fv, fp = eq.gradient(w, v, p)
-        return np.array([fp, -(fu + p * fv)])
-
     # Derivatives of the graph u(v, p) grow like powers of |root|, so the
     # base-direction step must shrink accordingly to keep the difference
     # quotient in the linear regime.
@@ -517,14 +565,18 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
     h_base = h / scale**1.5
     h_chart = h * scale
 
-    def central(k):
-        jac = np.empty((2, 2))
+    points = []                  # (w, p) at +-hb and +-hc, for k = 1, 2
+    for k in (1, 2):
         hb, hc = h_base / k, h_chart / k
-        jac[:, 0] = (restricted_field(hb, root)
-                     - restricted_field(-hb, root)) / (2 * hb)
-        jac[:, 1] = (restricted_field(0.0, root + hc)
-                     - restricted_field(0.0, root - hc)) / (2 * hc)
-        return jac
+        points += [(hb, root), (-hb, root), (0.0, root + hc), (0.0, root - hc)]
+    w, p = np.array(points).T
+    x = solve_fiber_coordinate(eq, w, p, start=root * w)
+    xi = eq.core.field(np.column_stack([w, x, p]), eq.chart == CHART_Q)[:, [0, 2]]
+
+    def central(k):
+        d = xi[4 * (k - 1):4 * k]
+        hb, hc = h_base / k, h_chart / k
+        return np.column_stack([(d[0] - d[1]) / (2 * hb), (d[2] - d[3]) / (2 * hc)])
 
     return (4.0 * central(2) - central(1)) / 3.0
 

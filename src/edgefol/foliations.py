@@ -26,19 +26,24 @@ from functools import lru_cache
 from . import invariants
 from .bde import (
     BdeField,
+    CHART_Q,
     Case,
     CubicAnalysis,
-    LiftedEquation,
     SIGN_CONVENTION_NOTE,
     TopClass,
+    analyse_cubic,
     classify_type2,
-    cubic_analysis,
     delta_and_case,
     hessian_det_origin,
-    lift,
     per_root_to_dict,
 )
-from .errors import DegenerateDiscriminant, EdgefolError, PropositionHypothesisViolated
+from .errors import (
+    CommonRoot,
+    DegenerateDiscriminant,
+    DiscriminantNearZero,
+    EdgefolError,
+    PropositionHypothesisViolated,
+)
 from .geometry import _half, form_polynomials
 from .jets import EdgeJet
 
@@ -166,52 +171,20 @@ def closed_form_analysis(jet: EdgeJet, kind: FoliationKind,
 
     Requires b20 = 0 (within tolerance) and the remaining genericity
     hypotheses; otherwise raises PropositionHypothesisViolated listing the
-    offenders.  Root and eigen data are produced by the same machinery as the
+    offenders.  Root and eigen data come from the same `analyse_cubic` as the
     derivative-based path, but starting from the closed forms.
     """
-    from .errors import CommonRoot, DiscriminantNearZero
-
     failed = hypothesis_failures(jet, kind, tol)
     if failed:
         raise PropositionHypothesisViolated(failed)
     phi = tuple(float(c) for c in closed_form_cubic(jet, kind))
     alpha = tuple(float(c) for c in closed_form_alpha(jet, kind))
     try:
-        return _analysis_from_coefficients(phi, alpha)
+        return analyse_cubic(phi, alpha, CHART_Q)
     except DiscriminantNearZero:
         raise PropositionHypothesisViolated(["D != 0"]) from None
     except CommonRoot:
         raise PropositionHypothesisViolated(["4*b12^3 + b03^2*b30 != 0"]) from None
-
-
-def _analysis_from_coefficients(phi, alpha) -> CubicAnalysis:
-    from .bde import (COMMON_ROOT_TOL, DISCRIMINANT_TOL, NODE, RootData, SADDLE,
-                      solve_cubic_real)
-    from .errors import CommonRoot, DiscriminantNearZero
-    from .invariants import cubic_discriminant
-
-    phi_scale = max(abs(c) for c in phi)
-    d_value = float(cubic_discriminant(*phi))
-    d_normalized = float(cubic_discriminant(*(c / phi_scale for c in phi)))
-    if abs(d_normalized) < DISCRIMINANT_TOL:
-        raise DiscriminantNearZero(
-            f"normalized discriminant {d_normalized:.3e} too small"
-        )
-    roots = solve_cubic_real(*phi)
-    alpha_scale = max(abs(c) for c in alpha)
-    dphi = (3 * phi[0], 2 * phi[1], phi[2])
-    per_root = []
-    for r in roots:
-        a_val = alpha[0] * r * r + alpha[1] * r + alpha[2]
-        if abs(a_val) / alpha_scale < COMMON_ROOT_TOL:
-            raise CommonRoot(f"alpha({r:.6g}) vanishes")
-        mpp = -(dphi[0] * r * r + dphi[1] * r + dphi[2])
-        prod = a_val * mpp
-        per_root.append(RootData(r, a_val, mpp, prod,
-                                 SADDLE if prod < 0 else NODE))
-    return CubicAnalysis(chart="q", phi=phi, alpha=alpha, D=d_value,
-                         D_normalized=d_normalized, roots=tuple(roots),
-                         per_root=tuple(per_root))
 
 
 # --- classification ---
@@ -308,12 +281,6 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind,
         return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
                                   degenerate_reason=f"{type(exc).__name__}: {exc}")
     return EdgeClassification(kind, top, case, inv, analysis=analysis)
-
-
-def lifted_equation(jet: EdgeJet, kind: FoliationKind,
-                    degree_cap: int = DEFAULT_DEGREE_CAP) -> LiftedEquation:
-    """The geometric BDE lifted in the chart matching the closed forms."""
-    return lift(build_geometric_bde(jet, kind, degree_cap), "q")
 
 
 # --- genericity strata report ---

@@ -163,12 +163,6 @@ class Poly2:
             total = total + c * u**i * v**j
         return total
 
-    def grad(self, u, v):
-        return (self.diff("u")(u, v), self.diff("v")(u, v))
-
-    def compiled(self):
-        return CompiledPoly2(self)
-
     def __repr__(self):
         if not self.terms:
             return "Poly2(0)"
@@ -177,29 +171,6 @@ class Poly2:
             for (i, j), c in sorted(self.terms.items())
         ]
         return "Poly2(" + " + ".join(parts) + ")"
-
-
-class CompiledPoly2:
-    """Dense float64 coefficient matrix for vectorised evaluation."""
-
-    __slots__ = ("mat", "du", "dv")
-
-    def __init__(self, poly: Poly2):
-        du = max((i for (i, _) in poly.terms), default=0)
-        dv = max((j for (_, j) in poly.terms), default=0)
-        mat = np.zeros((du + 1, dv + 1))
-        for (i, j), c in poly.terms.items():
-            mat[i, j] = float(c)
-        self.mat = mat
-        self.du = du
-        self.dv = dv
-
-    def __call__(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        U = power_table(u, self.du)
-        V = power_table(v, self.dv)
-        return np.einsum("...i,ij,...j->...", U, self.mat, V)
 
 
 def power_table(x: np.ndarray, n: int) -> np.ndarray:

@@ -3,11 +3,11 @@
 Curves are integrated in ambient (u, v, p) with classical fixed-step RK4 on
 the lifted field, which is exactly tangent to every level set of F, so the
 on-surface residual is pure roundoff; a periodic Newton projection in p mops
-that up.  Charts are handled by one integrator core: the chart-q field of
-(A, B, C) equals the chart-p field of the u<->v swapped tensor, so one
-code path serves both, and every batch row carries its own chart, step and
-stops: a request integrates its charts, time directions and probed roots
-as one batch.
+that up.  The field comes from the compiled evaluator `bde._ChartCore`,
+which serves both charts (the chart-q field of (A, B, C) equals the
+chart-p field of the u<->v swapped tensor), and every batch row carries its
+own chart, step and stops: a request integrates its charts, time
+directions and probed roots as one batch.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -39,6 +39,7 @@ from .bde import (
     restricted_jacobian,
     solve_fiber_coordinate,
     solve_quadratic,
+    _ChartCore,
 )
 from .errors import (
     ChartBreakdown,
@@ -119,66 +120,6 @@ def _swap_uv(states, q):
     """Public <-> internal coordinates: chart-q rows (mask `q`) swap u, v."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     return np.where(np.reshape(q, (-1, 1)), states[:, [1, 0, 2]], states)
-
-
-class _ChartCore:
-    """Compiled lifted field of a BDE in chart p and, via the u/v swapped
-    tensor, chart q; each state row reads its chart's nine values (mask `q`)."""
-
-    def __init__(self, bde: BdeField):
-        self.cset = CompiledPolySet([
-            poly for work in (bde, bde.swapped())
-            for poly in (work.A, work.B, work.C,
-                         work.A.diff("u"), work.B.diff("u"), work.C.diff("u"),
-                         work.A.diff("v"), work.B.diff("v"), work.C.diff("v"))
-        ])
-
-    def _values(self, S, q):
-        vals = self.cset.values(S[:, 0], S[:, 1])
-        return np.where(q, vals[9:], vals[:9])
-
-    def rhs(self, S, q, normalize=False):
-        p = S[:, 2]
-        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self._values(S, q)
-        Fp = 2.0 * (A * p + B)
-        Fu = (Au * p + 2.0 * Bu) * p + Cu
-        Fv = (Av * p + 2.0 * Bv) * p + Cv
-        out = np.empty_like(S)
-        out[:, 0] = Fp
-        out[:, 1] = p * Fp
-        out[:, 2] = -(Fu + p * Fv)
-        if normalize:
-            norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-            out /= (norms + 1e-300)[:, None]
-        return out
-
-    def residual(self, S, q):
-        p = S[:, 2]
-        A, B, C = self._values(S, q)[:3]
-        return (A * p + 2.0 * B) * p + C
-
-    def residual_and_fp(self, S, q):
-        p = S[:, 2]
-        A, B, C = self._values(S, q)[:3]
-        return (A * p + 2.0 * B) * p + C, 2.0 * (A * p + B)
-
-    def project_gradient(self, S, q):
-        """One Newton step for F = 0 along the full gradient (in place).
-
-        Unlike the p-only projection this also works where F_p vanishes
-        (near the discriminant and in slow channels along the edge)."""
-        p = S[:, 2]
-        A, B, C, Au, Bu, Cu, Av, Bv, Cv = self._values(S, q)
-        F = (A * p + 2.0 * B) * p + C
-        Fu = (Au * p + 2.0 * Bu) * p + Cu
-        Fv = (Av * p + 2.0 * Bv) * p + Cv
-        Fp = 2.0 * (A * p + B)
-        gn2 = Fu * Fu + Fv * Fv + Fp * Fp
-        ok = gn2 > 1e-24
-        scale = np.where(ok, F / np.where(ok, gn2, 1.0), 0.0)
-        S[:, 0] -= scale * Fu
-        S[:, 1] -= scale * Fv
-        S[:, 2] -= scale * Fp
 
 
 @dataclass
@@ -425,17 +366,16 @@ def integrate_lifted(eq: LiftedEquation, seed, step: float, max_steps: int,
     chart-variable blowup past `chart_bound` raises ChartBreakdown carrying
     the partial curve, so the caller can re-seed in the dual chart.
     """
-    seed = np.asarray(seed, dtype=float)
-    fval = float(eq.F(*seed))
+    core, q = eq.core, eq.chart == CHART_Q
+    start = _swap_uv(seed, q)
+    fval = float(core.residual(start, q)[0])
     scale = max(1.0, eq.bde.coefficient_scale())
     if abs(fval) > seed_tol * scale:
         raise SeedOffSurface(f"|F(seed)| = {abs(fval):.3e} exceeds {seed_tol:.1e}")
 
-    core = _ChartCore(eq.bde)
-    q = eq.chart == CHART_Q
     # row 0 runs backward in time, row 1 forward
     run = _integrate_batch(
-        core, np.repeat(_swap_uv(seed, q), 2, axis=0), q,
+        core, np.repeat(start, 2, axis=0), q,
         step=np.array([-step, step]), max_steps=max_steps, box=box,
         singular={eq.chart: singular_points}, singular_stop=singular_stop,
         chart_bound=chart_bound, project_every=project_every,
@@ -635,10 +575,10 @@ def discriminant_locus(delta, box: float, grid: int = 512):
     into its one or two segments.
     """
     xs = np.linspace(-box, box, grid)
-    cp = delta.compiled()
+    cp = CompiledPolySet([delta])
     U = np.vander(xs, cp.du + 1, increasing=True)
     V = np.vander(xs, cp.dv + 1, increasing=True)
-    vals = U @ cp.mat @ V.T       # vals[i, j] = delta(xs[i], xs[j])
+    vals = U @ cp.mats[0] @ V.T       # vals[i, j] = delta(xs[i], xs[j])
     pos = vals > 0.0
     i, j = np.nonzero(
         (pos[:-1, :-1] != pos[1:, :-1]) | (pos[:-1, :-1] != pos[:-1, 1:])
@@ -938,13 +878,11 @@ def _probe_circle(bde: BdeField, core: _ChartCore, analysis: CubicAnalysis,
         base = -span + 2 * span * (k + 0.5) / probes_per_side
         angles.extend([base, base + math.pi])
 
-    states = []                  # internal coordinates of either chart
-    for psi in angles:
-        dw, dp = basis @ (rho * math.cos(psi), rho * math.sin(psi))
-        p = root + dp
-        w = solve_fiber_coordinate(eq, dw, p, start=root * dw)
-        states.append((dw, w, p))
-    internal = np.array(states)
+    dw, dp = np.array([basis @ (rho * math.cos(psi), rho * math.sin(psi))
+                       for psi in angles]).T
+    p = root + dp
+    w = solve_fiber_coordinate(eq, dw, p, start=root * dw)
+    internal = np.column_stack([dw, w, p])   # internal coordinates of either chart
     resid = np.abs(core.residual(internal, chart == CHART_Q))
     keep = resid <= 1e-9 * max(1.0, bde.coefficient_scale())
     weak_index = int(np.argmin(np.abs(np.real(eigvals))))

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import invariants
 from .bde import (
-    BdeField,
-    Case,
+    CHART_P,
     CHART_Q,
+    Case,
     cubic_analysis,
     delta_and_case,
     lift,
@@ -39,7 +39,7 @@ from .foliations import (
 )
 from .geometry import form_polynomials, series_expansion_report
 from .jets import EdgeJet, sample_generic_jet
-from .poly import Poly2
+from .poly import CompiledPolySet, Poly2
 from .tracer import local_sector_counts
 
 _GEOMETRIC_KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
@@ -132,16 +132,13 @@ def _tangency_trial(args):
         Poly2({(i, j): rng.normal() for i in range(3) for j in range(3)})
         for _ in range(3)
     ]
-    eq = lift(BdeField(*polys), CHART_Q if index % 2 else "p")
+    chart = CHART_Q if index % 2 else CHART_P
     pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
     u, v, p = pts[:, 0], pts[:, 1], pts[:, 2]
-    au, bu, cu = (q.diff("u").compiled() for q in polys)
-    av, bv, cv = (q.diff("v").compiled() for q in polys)
-    a, b, c = (q.compiled() for q in polys)
-    A, B, C = a(u, v), b(u, v), c(u, v)
-    Au, Bu, Cu = au(u, v), bu(u, v), cu(u, v)
-    Av, Bv, Cv = av(u, v), bv(u, v), cv(u, v)
-    if eq.chart == CHART_Q:
+    A, B, C, Au, Bu, Cu, Av, Bv, Cv = CompiledPolySet(
+        polys + [q.diff("u") for q in polys] + [q.diff("v") for q in polys]
+    ).values(u, v)
+    if chart == CHART_Q:
         Fu = Au + 2 * Bu * p + Cu * p * p
         Fv = Av + 2 * Bv * p + Cv * p * p
         Fp = 2 * B + 2 * C * p

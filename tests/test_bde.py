@@ -18,12 +18,13 @@ from edgefol.bde import (
     delta_and_case,
     discriminant_poly,
     hessian_det_origin,
+    _ChartCore,
     lift,
-    lifted_field,
     mmfd_determinant,
     mmfd_matrix,
     restricted_jacobian,
     solve_cubic_real,
+    solve_fiber_coordinate,
     unique_direction_at_origin,
 )
 from edgefol.errors import (
@@ -113,26 +114,79 @@ def test_mmfd_characteristic_closed_form():
 # --- lifted field ---
 
 def test_lifted_field_vanishing_fp_kills_base_motion():
-    eq = lift(bde(ONE, Poly2(), U), CHART_P)
-    xi = lifted_field(eq, 0.0, 0.0, 0.0)   # F = p^2 + u, F_p = 2p = 0
-    assert xi[0] == 0.0 and xi[1] == 0.0
-    assert xi[2] == -1.0
+    # chart p: F = p^2 + u; chart q: F = v + q^2.  F_p = 0 at the origin
+    for chart, field in ((CHART_P, bde(ONE, Poly2(), U)),
+                         (CHART_Q, bde(V, Poly2(), ONE))):
+        xi = _ChartCore(field).rhs(np.zeros((1, 3)), chart == CHART_Q)[0]
+        assert xi[0] == 0.0 and xi[1] == 0.0
+        assert xi[2] == -1.0
+
+
+def _exact_gradient(polys, chart, u, v, p):
+    """(F_u, F_v, F_p) of the chart's F from exact Poly2 derivatives."""
+    A, B, C = (float(f(u, v)) for f in polys)
+    Au, Bu, Cu = (float(f.diff("u")(u, v)) for f in polys)
+    Av, Bv, Cv = (float(f.diff("v")(u, v)) for f in polys)
+    if chart == CHART_P:
+        return (Au * p * p + 2 * Bu * p + Cu, Av * p * p + 2 * Bv * p + Cv,
+                2 * A * p + 2 * B)
+    return (Au + 2 * Bu * p + Cu * p * p, Av + 2 * Bv * p + Cv * p * p,
+            2 * B + 2 * C * p)
 
 
 def test_lifted_field_tangency_identity():
+    """The shipped field is the chart's xi and is tangent to the level sets
+    of F, with grad F taken independently of the compiled core."""
     rng = np.random.default_rng(3)
     for _ in range(30):
         polys = [Poly2({(i, j): rng.normal() for i in range(3)
                         for j in range(3)}) for _ in range(3)]
-        field = BdeField(*polys)
+        core = _ChartCore(BdeField(*polys))
         for chart in (CHART_P, CHART_Q):
-            eq = lift(field, chart)
             u, v, p = rng.normal(size=3)
-            grad = eq.gradient(u, v, p)
-            xi = eq.field(u, v, p)
+            fu, fv, fp = grad = _exact_gradient(polys, chart, u, v, p)
+            if chart == CHART_P:
+                xi = core.rhs(np.array([[u, v, p]]), False)[0]
+                expected = (fp, p * fp, -(fu + p * fv))
+            else:
+                xi = core.rhs(np.array([[v, u, p]]), True)[0][[1, 0, 2]]
+                expected = (p * fp, fp, -(p * fu + fv))
+            size = 1.0 + np.linalg.norm(expected)
+            assert np.all(np.abs(xi - expected) <= 1e-13 * size)
             dot = grad[0] * xi[0] + grad[1] * xi[1] + grad[2] * xi[2]
             scale = 1.0 + np.linalg.norm(grad) * np.linalg.norm(xi)
             assert abs(dot) / scale < 1e-13
+
+
+def test_solve_fiber_coordinate_lands_on_surface():
+    """The fiber Newton solve returns a point of M in either chart, checked
+    against F evaluated from the exact A, B, C; an array of points solves
+    to the same values as the points one at a time.  Roots are taken in the
+    chart where |root| <= 1, as the probes do."""
+    for seed in range(6):
+        jet = sample_generic_jet(seed, "edge_degenerate")
+        for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
+            field = build_geometric_bde(jet, kind)
+            scale = max(1.0, field.coefficient_scale())
+            for chart in (CHART_P, CHART_Q):
+                eq = lift(field, chart)
+                analysis = cubic_analysis(eq)
+                assert analysis.chart == chart
+                for root in (r for r in analysis.roots if abs(r) <= 1.0):
+                    w = np.repeat([1e-4, -1e-3, 1e-2, -1e-2], 2)
+                    p = root + 0.25 * w * np.tile([1.0, -1.0], 4)
+                    xs = solve_fiber_coordinate(eq, w, p, start=root * w)
+                    for k in range(len(w)):
+                        x = solve_fiber_coordinate(eq, w[k], p[k],
+                                                   start=root * w[k])
+                        assert x == xs[k]
+                        u, v = (x, w[k]) if chart == CHART_Q else (w[k], x)
+                        a, b, c = (float(f(u, v))
+                                   for f in (field.A, field.B, field.C))
+                        pk = p[k]
+                        F = (a + 2 * b * pk + c * pk * pk if chart == CHART_Q
+                             else a * pk * pk + 2 * b * pk + c)
+                        assert abs(F) <= 1e-12 * scale, (seed, kind, chart)
 
 
 def test_unique_direction_for_fold_is_dv():
@@ -234,7 +288,8 @@ def test_cubic_analysis_dual_chart_fallback():
     assert analysis.per_root[0].alpha != 0.0
 
 
-def test_restricted_jacobian_eigenvalues_random_case3():
+@pytest.mark.parametrize("chart", [CHART_P, CHART_Q])
+def test_restricted_jacobian_eigenvalues_random_case3(chart):
     rng = np.random.default_rng(7)
     done = 0
     while done < 25:
@@ -244,11 +299,12 @@ def test_restricted_jacobian_eigenvalues_random_case3():
                      for i in range(3) for j in range(3)}
             terms.pop((0, 0), None)   # all coefficients vanish at the origin
             polys.append(Poly2(terms))
-        eq = lift(BdeField(*polys), CHART_Q)
+        field = BdeField(*polys)
         try:
-            analysis = cubic_analysis(eq)
+            analysis = cubic_analysis(lift(field, chart))
         except (DiscriminantNearZero, CommonRoot):
             continue
+        eq = lift(field, analysis.chart)
         for data in analysis.per_root:
             if abs(data.alpha + data.minus_phi_prime) < 1e-3:
                 continue   # nearly resonant: eigensolver ordering unstable

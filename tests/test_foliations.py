@@ -1,5 +1,6 @@
 """Geometric BDEs of the edge: construction, closed forms, classification."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -228,6 +229,21 @@ def test_classify_worked_one_saddle():
     for kind in KINDS:
         cls = classify_edge_foliation(jet, kind)
         assert cls.top_class is TopClass.ONE_SADDLE
+
+
+def test_classify_output_bytes_pinned():
+    # sha256 of the classification JSON of the worked three-saddles and
+    # one-saddle jets and twenty sampled Type-2 jets, both Type-2 kinds: the
+    # per-root alpha and -phi' values are pinned to their last bit
+    jets = [EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0),
+            EdgeJet(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)]
+    jets += [sample_generic_jet(seed, "edge_degenerate") for seed in range(20)]
+    digest = hashlib.sha256()
+    for jet in jets:
+        for kind in KINDS:
+            digest.update(classify_edge_foliation(jet, kind).to_json().encode())
+    assert digest.hexdigest() == (
+        "25f2e7495678a7bff5090e482fbda10ca1ffea7892351676f480365144f65355")
 
 
 def test_classify_degenerate_on_stratum_never_raises():

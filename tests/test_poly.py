@@ -75,10 +75,9 @@ def test_truncation_drops_only_high_degrees():
 @given(polys, st.lists(points, min_size=1, max_size=5))
 @settings(max_examples=50, deadline=None)
 def test_compiled_matches_scalar_eval(p, pts):
-    cp = p.compiled()
     us = np.array([a for a, _ in pts])
     vs = np.array([b for _, b in pts])
-    batch = cp(us, vs)
+    batch = CompiledPolySet([p]).values(us, vs)[0]
     for k, (u, v) in enumerate(pts):
         assert np.isclose(batch[k], float(p(u, v)), rtol=1e-12, atol=1e-9)
 

@@ -189,8 +189,8 @@ def _locus_reference(delta, box, grid=512):
     """The per-cell marching squares and per-endpoint chaining loop that
     discriminant_locus must reproduce bit for bit."""
     xs = np.linspace(-box, box, grid)
-    cp = delta.compiled()
-    vals = (np.vander(xs, cp.du + 1, increasing=True) @ cp.mat
+    cp = CompiledPolySet([delta])
+    vals = (np.vander(xs, cp.du + 1, increasing=True) @ cp.mats[0]
             @ np.vander(xs, cp.dv + 1, increasing=True).T)
     pos = vals > 0.0
 
