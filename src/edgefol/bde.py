@@ -28,7 +28,6 @@ confirmed by the sector-count oracle in the tracer module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +39,7 @@ from .errors import (
     CommonRoot,
     DegenerateDiscriminant,
     DiscriminantNearZero,
+    FiberNotConverged,
     HessianNonNegative,
     InvariantViolation,
 )
@@ -153,46 +153,6 @@ def delta_and_case(bde: BdeField, tol: float = CASE_TOL):
     if abs(alignment) > tol:
         return delta, Case.CASE2_TRANSVERSE
     return delta, Case.CASE2_TANGENT
-
-
-def _det4(m):
-    """Cofactor-expansion 4x4 determinant, exact for exact entries."""
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    total = 0
-    sign = 1
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        total = total + sign * m[0][col] * det3(minor)
-        sign = -sign
-    return total
-
-
-def mmfd_matrix(bde: BdeField):
-    au, bu, cu = (p.diff("u").coeff(0, 0) for p in (bde.A, bde.B, bde.C))
-    av, bv, cv = (p.diff("v").coeff(0, 0) for p in (bde.A, bde.B, bde.C))
-    zero = 0 * au
-    return [
-        [au, 2 * bu, cu, zero],
-        [zero, au, 2 * bu, cu],
-        [av, 2 * bv, cv, zero],
-        [zero, av, 2 * bv, cv],
-    ]
-
-
-def mmfd_determinant(bde: BdeField):
-    """Resultant-style smoothness certificate for the lifted surface M.
-
-    Nonzero guarantees that the first-order direction quadratics in u and v
-    have no common root, hence M is a smooth surface over the origin.
-    """
-    return _det4(mmfd_matrix(bde))
 
 
 # --- lifted equation and field ---
@@ -556,7 +516,8 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
     The surface is parameterized by the base fiber coordinate and the chart
     variable near (0, 0, root); Richardson-extrapolated central differences
     around the singular point give the 2x2 linearization whose eigenvalues
-    are alpha(root) and -phi'(root).
+    are alpha(root) and -phi'(root).  Raises FiberNotConverged when a
+    difference point's fiber solve did not land on M.
     """
     # Derivatives of the graph u(v, p) grow like powers of |root|, so the
     # base-direction step must shrink accordingly to keep the difference
@@ -571,7 +532,13 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
         points += [(hb, root), (-hb, root), (0.0, root + hc), (0.0, root - hc)]
     w, p = np.array(points).T
     x = solve_fiber_coordinate(eq, w, p, start=root * w)
-    xi = eq.core.field(np.column_stack([w, x, p]), eq.chart == CHART_Q)[:, [0, 2]]
+    rows, q = np.column_stack([w, x, p]), eq.chart == CHART_Q
+    worst = float(np.max(np.abs(eq.core.residual(rows, q))))
+    bound = 1e-9 * max(1.0, eq.bde.coefficient_scale())
+    if worst > bound:
+        raise FiberNotConverged(
+            f"difference point off M: |F| = {worst:.3e} exceeds {bound:.1e}")
+    xi = eq.core.field(rows, q)[:, [0, 2]]
 
     def central(k):
         d = xi[4 * (k - 1):4 * k]
@@ -591,20 +558,3 @@ def per_root_to_dict(r: RootData) -> dict:
         "eigen_product": r.eigen_product,
         "lifted_type": r.lifted_type,
     }
-
-
-def cubic_analysis_to_dict(analysis: CubicAnalysis) -> dict:
-    return {
-        "chart": analysis.chart,
-        "phi": list(analysis.phi),
-        "alpha": list(analysis.alpha),
-        "D": analysis.D,
-        "D_normalized": analysis.D_normalized,
-        "roots": list(analysis.roots),
-        "per_root": [per_root_to_dict(r) for r in analysis.per_root],
-        "convention_note": analysis.convention_note,
-    }
-
-
-def cubic_analysis_to_json(analysis: CubicAnalysis) -> str:
-    return json.dumps(cubic_analysis_to_dict(analysis), indent=2)

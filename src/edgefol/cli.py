@@ -10,7 +10,6 @@ import sys
 
 from .errors import ConfigError, EdgefolError
 from .foliations import (
-    FoliationKind,
     build_geometric_bde,
     classify_edge_foliation,
     parse_kind,

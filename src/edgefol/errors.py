@@ -57,6 +57,10 @@ class InvariantViolation(EdgefolError):
     """An internally impossible sign configuration was produced."""
 
 
+class FiberNotConverged(EdgefolError):
+    """A Newton solve for a point of M ended with |F| above tolerance."""
+
+
 class PropositionHypothesisViolated(EdgefolError):
     """One or more closed-form classification hypotheses fail for this jet."""
 
@@ -66,20 +70,6 @@ class PropositionHypothesisViolated(EdgefolError):
 
 
 # --- curve tracing ---
-
-class SeedOffSurface(EdgefolError):
-    """Integration seed does not satisfy |F| <= tolerance."""
-
-
-class ChartBreakdown(EdgefolError):
-    """|p| exceeded the chart bound during integration; re-seed in the dual
-    chart.  Carries the partial curve and breakdown state."""
-
-    def __init__(self, message, partial=None, state=None):
-        super().__init__(message)
-        self.partial = partial
-        self.state = state
-
 
 class WindowTooSmall(EdgefolError):
     """Not enough samples on each side of the requested parameter."""

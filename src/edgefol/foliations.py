@@ -281,30 +281,3 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind,
         return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
                                   degenerate_reason=f"{type(exc).__name__}: {exc}")
     return EdgeClassification(kind, top, case, inv, analysis=analysis)
-
-
-# --- genericity strata report ---
-
-def genericity_membership(jet: EdgeJet, tol: float = 1e-9) -> dict:
-    """Values and near-zero flags of the degenerate-stratum indicators.
-
-    The bad set requires b20 = 0; when b20 != 0 only that value is reported
-    and the jet is generic outright.
-    """
-    out = {"b20": jet.b20, "generic": True, "near_strata": []}
-    if abs(jet.b20) > tol:
-        return out
-    values = {
-        "b30_minus_a20_b12": float(
-            invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12)),
-        "D_asymptotic": float(
-            invariants.asymptotic_discriminant(jet.a20, jet.b30, jet.b12, jet.b03)),
-        "D_characteristic": float(
-            invariants.characteristic_discriminant(jet.a20, jet.b30, jet.b12, jet.b03)),
-        "common_root_guard": float(
-            invariants.common_root_guard(jet.b30, jet.b12, jet.b03)),
-    }
-    out.update(values)
-    out["near_strata"] = sorted(k for k, x in values.items() if abs(x) <= tol)
-    out["generic"] = not out["near_strata"]
-    return out

@@ -2,8 +2,10 @@
 
 The parametrization and every derived tensor live as exact polynomials in
 (u, v).  On the singular set v = 0 the metric degenerates; the scaled normal
-nu2 = f_u x (f_v / v) and the v-factored form coefficients stay polynomial,
-so quotients like G/v^2 are computed structurally, never as float limits.
+nu2 = f_u x (f_v / v) stays polynomial because f_v is divided by v exactly
+(`Poly2.divide_v`), and the second-form numerators L2, M2, N2 are taken
+against it.  The BDE assembly divides its products by v the same way, so no
+quotient is ever a float limit.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import HigherTermsPresent
 from .jets import EdgeJet
@@ -88,7 +88,7 @@ def eval_surface(jet: EdgeJet, u, v, order: int = 1) -> SurfaceEval:
 
 
 class FormPolynomials(NamedTuple):
-    """Fundamental-form coefficient polynomials and their v-factored versions."""
+    """Fundamental-form coefficient polynomials against the scaled normal."""
 
     E: Poly2
     F: Poly2
@@ -96,10 +96,6 @@ class FormPolynomials(NamedTuple):
     L2: Poly2
     M2: Poly2
     N2: Poly2
-    Ft: Poly2   # F / v
-    Gt: Poly2   # G / v^2
-    Mt: Poly2   # M2 / v
-    Nt: Poly2   # N2 / v
     nu2: tuple  # scaled normal f_u x (f_v / v), three Poly2
 
 
@@ -135,50 +131,7 @@ def form_polynomials(jet: EdgeJet) -> FormPolynomials:
     M2 = _dot(fuv, nu2)
     N2 = _dot(fvv, nu2)
 
-    return FormPolynomials(
-        E=E, F=F, G=G, L2=L2, M2=M2, N2=N2,
-        Ft=F.divide_v(), Gt=G.divide_v(2), Mt=M2.divide_v(), Nt=N2.divide_v(),
-        nu2=nu2,
-    )
-
-
-@dataclass(frozen=True)
-class FormCoefficients:
-    """First and second fundamental-form data at one point.
-
-    L2, M2, N2 are second-form numerators against the scaled normal nu2; the
-    t-suffixed fields are the v-factored quantities (Et = E, Lt = L2,
-    Ft = F/v, Gt = G/v^2, Mt = M2/v, Nt = N2/v), evaluated structurally so
-    they are defined on v = 0 as well.
-    """
-
-    E: float
-    F: float
-    G: float
-    L2: float
-    M2: float
-    N2: float
-    Et: float
-    Ft: float
-    Gt: float
-    Lt: float
-    Mt: float
-    Nt: float
-
-
-def fundamental_forms(jet: EdgeJet, u, v) -> FormCoefficients:
-    fp = form_polynomials(jet)
-    return FormCoefficients(
-        E=fp.E(u, v), F=fp.F(u, v), G=fp.G(u, v),
-        L2=fp.L2(u, v), M2=fp.M2(u, v), N2=fp.N2(u, v),
-        Et=fp.E(u, v), Ft=fp.Ft(u, v), Gt=fp.Gt(u, v),
-        Lt=fp.L2(u, v), Mt=fp.Mt(u, v), Nt=fp.Nt(u, v),
-    )
-
-
-def scaled_normal(jet: EdgeJet, u, v) -> np.ndarray:
-    nu2 = form_polynomials(jet).nu2
-    return np.array([float(p(u, v)) for p in nu2])
+    return FormPolynomials(E=E, F=F, G=G, L2=L2, M2=M2, N2=N2, nu2=nu2)
 
 
 # --- cross-check report against the reference Taylor expansions ---
@@ -254,13 +207,3 @@ def series_expansion_report(jet: EdgeJet, rel_tol: float = 1e-9) -> list[ReportR
             agree=abs(comp - ref) <= rel_tol * scale,
         ))
     return rows
-
-
-def report_to_csv(rows: list[ReportRow]) -> str:
-    lines = ["quantity,monomial,reference,computed,agree"]
-    for r in rows:
-        lines.append(
-            f"{r.quantity},{r.monomial},{r.reference!r},{r.computed!r},"
-            f"{'agree' if r.agree else 'disagree'}"
-        )
-    return "\n".join(lines) + "\n"

@@ -70,9 +70,6 @@ class EdgeJet:
     def coefficients(self) -> dict:
         return {k: getattr(self, k) for k in COEFF_KEYS}
 
-    def with_higher_zero(self) -> "EdgeJet":
-        return EdgeJet(self.a20, self.a30, self.b20, self.b30, self.b12, self.b03)
-
 
 def _check_finite(name, value):
     try:

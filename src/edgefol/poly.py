@@ -9,7 +9,6 @@ curve tracer.
 
 from __future__ import annotations
 
-import math
 from numbers import Number
 
 import numpy as np
@@ -150,11 +149,6 @@ class Poly2:
     def is_zero(self):
         return not self.terms
 
-    def map_coeffs(self, fn):
-        res = Poly2.__new__(Poly2)
-        res.terms = {k: fn(c) for k, c in self.terms.items() if fn(c) != 0}
-        return res
-
     # --- evaluation ---
 
     def __call__(self, u, v):
@@ -204,7 +198,3 @@ class CompiledPolySet:
         U = power_table(u, self.du)
         V = power_table(v, self.dv)
         return np.einsum("...i,kij,...j->k...", U, self.mats, V)
-
-
-def poly_is_finite(p: Poly2) -> bool:
-    return all(math.isfinite(float(c)) for c in p.terms.values())

@@ -38,7 +38,6 @@ class RenderStyle:
     edge_color: str = "#1a202c"
     marker_color: str = "#c53030"
     marker_radius: float = 2.5
-    dash_pattern: str = "6 4"
     size_px: int = 640
     camera_direction: tuple = (0.35, -0.55, 0.76)
     camera_up: tuple = (0.0, 0.0, 1.0)

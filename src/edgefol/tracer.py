@@ -29,7 +29,6 @@ from .bde import (
     CHART_Q,
     Case,
     CubicAnalysis,
-    LiftedEquation,
     NODE,
     SADDLE,
     cubic_analysis,
@@ -42,11 +41,9 @@ from .bde import (
     _ChartCore,
 )
 from .errors import (
-    ChartBreakdown,
     DegenerateDiscriminant,
     EdgefolError,
     FitIllConditioned,
-    SeedOffSurface,
     WindowTooSmall,
 )
 from .geometry import surface_polynomials
@@ -55,6 +52,10 @@ from .poly import CompiledPolySet
 
 SEED_RESIDUAL_TOL = 1e-8
 CHART_BOUND = 1e3
+SEPARATRIX_OFFSET = 1e-4     # separatrix seeds' distance from their saddle
+PROJECT_EVERY = 50           # RK4 steps between scheduled projections onto M
+SINGULAR_STOP = 1e-5         # radius around a lifted zero that ends a curve
+LOCUS_GRID = 512             # marching-squares samples per box side
 
 TERM_BOX = "box_exit"
 TERM_CAP = "step_cap"
@@ -70,11 +71,7 @@ class TraceConfig:
     step: float = 1e-3
     max_steps: int = 6000
     seeds_per_side: int = 24
-    separatrix_offset: float = 1e-4
-    project_every: int = 50
-    singular_stop: float = 1e-5
     chart_bound: float = CHART_BOUND
-    grid: int = 512
 
 
 @dataclass
@@ -134,9 +131,8 @@ _RECORD_BUDGET = 6_000_000  # state rows held in the trajectory buffer
 
 
 def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
-                     box=None, singular=None, singular_stop=1e-5,
-                     chart_bound=CHART_BOUND, project_every=50,
-                     normalize=False, record=True, project_mode="p",
+                     box=None, singular=None, singular_stop=SINGULAR_STOP,
+                     chart_bound=CHART_BOUND, project_every=PROJECT_EVERY,
                      ball=None):
     """Fixed-step RK4 on the lifted field for a batch of internal states.
 
@@ -147,22 +143,23 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     measured in the surface-graph coordinates (first base coordinate, chart
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
+    A batch with a `ball` is a sector probe: it follows the unit-speed
+    field, projects along the full gradient and records no paths.
     Terminated rows freeze; the loop ends when none remain.
     """
     states = np.array(states, dtype=float)
     n = len(states)
     q = np.broadcast_to(q, (n,))
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
-    if record and n * (max_steps + 1) > _RECORD_BUDGET:
+    probe = ball is not None
+    if not probe and n * (max_steps + 1) > _RECORD_BUDGET:
         chunk = max(1, _RECORD_BUDGET // (max_steps + 1))
         parts = [
             _integrate_batch(
                 core, states[i:i + chunk], q[i:i + chunk],
                 step=step[i:i + chunk], max_steps=max_steps,
                 box=box, singular=singular, singular_stop=singular_stop,
-                chart_bound=chart_bound, project_every=project_every,
-                normalize=normalize, record=record, project_mode=project_mode,
-                ball=ball and tuple(x[i:i + chunk] for x in ball))
+                chart_bound=chart_bound, project_every=project_every)
             for i in range(0, n, chunk)
         ]
         return _BatchResult(
@@ -176,7 +173,7 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     status = np.array([""] * n, dtype=object)
     steps_used = np.zeros(n, dtype=int)
     buffer = None
-    if record:
+    if not probe:
         buffer = np.empty((n, max_steps + 1, 3))
         buffer[:, 0] = S
     active = np.arange(n)
@@ -197,27 +194,15 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     live = [q, 0.5 * h, h, h / 6.0, 5.0 * abs_h, 20.0 * abs_h,
             np.maximum(0.05, 50.0 * abs_h), sing, *(ball or ())]
 
-    def _freeze_breakdown(rows, cur, qa):
-        frozen = cur[rows]
-        f, fp = core.residual_and_fp(frozen, qa[rows])
-        ok = np.abs(fp) > 1e-12
-        frozen[ok, 2] -= f[ok] / fp[ok]
-        for local, row in enumerate(rows):
-            idx = active[row]
-            status[idx] = TERM_CHART
-            S[idx] = frozen[local]
-            if record:
-                buffer[idx, steps_used[idx]] = frozen[local]
-
     for k in range(1, max_steps + 1):
         if active.size == 0:
             break
         qa, half_h, h, sixth_h, stiff_move, wild_move, cap, sg, *bl = live
         cur = S[active]
-        k1 = core.rhs(cur, qa, normalize)
-        k2 = core.rhs(cur + half_h * k1, qa, normalize)
-        k3 = core.rhs(cur + half_h * k2, qa, normalize)
-        k4 = core.rhs(cur + h * k3, qa, normalize)
+        k1 = core.rhs(cur, qa, probe)
+        k2 = core.rhs(cur + half_h * k1, qa, probe)
+        k3 = core.rhs(cur + half_h * k2, qa, probe)
+        k4 = core.rhs(cur + h * k3, qa, probe)
         nxt = cur + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         move = np.abs(nxt - cur)
@@ -225,8 +210,8 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
         # variable is moving fast (stiff approach to a vertical direction,
         # where the 50-step cadence provably undershoots)
         stiff = move[:, 2] > stiff_move
-        scheduled = bool(project_every and k % project_every == 0)
-        if scheduled and project_mode == "gradient":
+        scheduled = k % project_every == 0
+        if scheduled and probe:
             core.project_gradient(nxt, qa)
         elif scheduled or stiff.any():
             rows = np.arange(len(nxt)) if scheduled else np.nonzero(stiff)[0]
@@ -241,24 +226,22 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
             | (np.maximum(move[:, 0], move[:, 1]) > cap)
         )
-        if wild.any():
-            _freeze_breakdown(np.nonzero(wild)[0], cur, qa)
-            good = ~wild
-            S[active[good]] = nxt[good]
-            steps_used[active[good]] = k
-            if record:
-                buffer[active[good], k] = nxt[good]
-            active = active[good]
-            live = [x[good] for x in live]
-            sg, *bl = live[7:]
-            nxt = nxt[good]
-        else:
-            S[active] = nxt
-            steps_used[active] = k
-            if record:
-                buffer[active, k] = nxt
+        # a wild row keeps its last accepted sample, re-projected onto M in p
+        rows = np.nonzero(wild)[0]
+        if rows.size:
+            frozen = cur[rows]
+            f, fp = core.residual_and_fp(frozen, qa[rows])
+            ok = np.abs(fp) > 1e-12
+            frozen[ok, 2] -= f[ok] / fp[ok]
+            nxt[rows] = frozen
+            status[active[rows]] = TERM_CHART
+        at = k - wild               # a wild row keeps its step count
+        S[active] = nxt
+        steps_used[active] = at
+        if not probe:
+            buffer[active, at] = nxt
 
-        done = np.zeros(len(active), dtype=bool)
+        done = wild.copy()
 
         def _finish(mask, term):
             nonlocal done
@@ -289,7 +272,7 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     for idx in active:
         status[idx] = TERM_CAP
     paths = None
-    if record:
+    if not probe:
         paths = [buffer[i, :steps_used[i] + 1].copy() for i in range(n)]
     return _BatchResult(status=status, final=S, steps=steps_used, paths=paths)
 
@@ -331,7 +314,7 @@ def _arclength(samples: np.ndarray) -> np.ndarray:
 
 
 def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
-            seed_index=-1, is_separatrix=False) -> TracedCurve:
+            seed_index, is_separatrix) -> TracedCurve:
     q = chart == CHART_Q
     if back_status == TERM_BOX:
         back_path = _clip_to_box(back_path, box, core, q)
@@ -353,43 +336,6 @@ def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
         seed_index=seed_index,
         seed_sample=len(back_path) - 1,
     )
-
-
-def integrate_lifted(eq: LiftedEquation, seed, step: float, max_steps: int,
-                     box: float, *, singular_points=(), singular_stop=1e-5,
-                     project_every=50, chart_bound=CHART_BOUND,
-                     seed_tol=SEED_RESIDUAL_TOL) -> TracedCurve:
-    """Trace both time directions of the lifted field through one seed.
-
-    The seed must satisfy |F(seed)| <= seed_tol (SeedOffSurface otherwise);
-    the two half-curves are concatenated with the seed in the middle.  A
-    chart-variable blowup past `chart_bound` raises ChartBreakdown carrying
-    the partial curve, so the caller can re-seed in the dual chart.
-    """
-    core, q = eq.core, eq.chart == CHART_Q
-    start = _swap_uv(seed, q)
-    fval = float(core.residual(start, q)[0])
-    scale = max(1.0, eq.bde.coefficient_scale())
-    if abs(fval) > seed_tol * scale:
-        raise SeedOffSurface(f"|F(seed)| = {abs(fval):.3e} exceeds {seed_tol:.1e}")
-
-    # row 0 runs backward in time, row 1 forward
-    run = _integrate_batch(
-        core, np.repeat(start, 2, axis=0), q,
-        step=np.array([-step, step]), max_steps=max_steps, box=box,
-        singular={eq.chart: singular_points}, singular_stop=singular_stop,
-        chart_bound=chart_bound, project_every=project_every,
-    )
-    curve = _stitch(core, run.paths[0], run.paths[1], run.status[0],
-                    run.status[1], box, eq.chart)
-    if TERM_CHART in (curve.termination, curve.termination_backward):
-        row = 1 if curve.termination == TERM_CHART else 0
-        state = _swap_uv(run.final[row], q)[0]
-        raise ChartBreakdown(
-            f"chart variable exceeded {chart_bound:g}",
-            partial=curve, state=tuple(state),
-        )
-    return curve
 
 
 # --- seeding ---
@@ -425,9 +371,9 @@ def direction_roots(bde: BdeField, u: float, v: float):
     return sorted(set(seeds))
 
 
-def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis, offset: float):
-    """Four seeds per saddle: +-offset along each eigenvector of the lifted
-    linearization, pushed back onto M by a Newton solve."""
+def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
+    """Four seeds per saddle: +-SEPARATRIX_OFFSET along each eigenvector of
+    the lifted linearization, pushed back onto M by a Newton solve."""
     eq = lift(bde, analysis.chart)
     seeds = []
     for data in analysis.per_root:
@@ -442,7 +388,7 @@ def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis, offset: float):
                 continue
             vec = vec / norm
             for sign in (+1.0, -1.0):
-                dv, dp = sign * offset * vec
+                dv, dp = sign * SEPARATRIX_OFFSET * vec
                 p = data.root + dp
                 if abs(dv) < 1e-14:
                     seeds.append((analysis.chart, (0.0, 0.0, p)))
@@ -473,8 +419,7 @@ def _trace_worklist(bde: BdeField, core: _ChartCore, worklist,
         core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
         step=np.repeat([-config.step, config.step], n),
         max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
-        singular_stop=config.singular_stop, chart_bound=config.chart_bound,
-        project_every=config.project_every,
+        chart_bound=config.chart_bound,
     )
     curves, continuations = [], []
     for row, (index, (chart, _state, is_sep)) in enumerate(entries):
@@ -540,8 +485,7 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
         dual = CHART_P if analysis.chart == CHART_Q else CHART_Q
         singular_by_chart[dual] = tuple(1.0 / r for r in roots if r != 0.0)
         try:
-            for chart, state in _separatrix_seeds(bde, analysis,
-                                                  config.separatrix_offset):
+            for chart, state in _separatrix_seeds(bde, analysis):
                 worklist.append((chart, state, True))
         except EdgefolError:
             warnings += 1
@@ -558,7 +502,7 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
         curves.extend(more)
         warnings += warn3
 
-    locus = discriminant_locus(delta, config.box, config.grid)
+    locus = discriminant_locus(delta, config.box)
     return Portrait(curves=curves, singular_points=singular_points,
                     discriminant_locus=locus, box=config.box, case=case,
                     analysis=analysis, warnings=warnings)
@@ -566,7 +510,7 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
 
 # --- discriminant locus by marching squares ---
 
-def discriminant_locus(delta, box: float, grid: int = 512):
+def discriminant_locus(delta, box: float):
     """Polylines of {delta = 0} inside the box, by marching squares.
 
     The edge crossings of all mixed cells are computed as arrays, laid out
@@ -574,7 +518,7 @@ def discriminant_locus(delta, box: float, grid: int = 512):
     order bottom, right, top, left; consecutive crossings of a cell pair
     into its one or two segments.
     """
-    xs = np.linspace(-box, box, grid)
+    xs = np.linspace(-box, box, LOCUS_GRID)
     cp = CompiledPolySet([delta])
     U = np.vander(xs, cp.du + 1, increasing=True)
     V = np.vander(xs, cp.dv + 1, increasing=True)
@@ -922,9 +866,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
             per_row([c.q for c in live]),
             step=np.concatenate([np.repeat([c.rho / 60.0, -c.rho / 60.0],
                                            len(c.internal)) for c in live]),
-            max_steps=24000, box=None, record=False, normalize=True,
-            project_every=10, project_mode="gradient",
-            chart_bound=CHART_BOUND,
+            max_steps=24000, project_every=10,
             ball=(per_row([(0.0, c.root) for c in live]),
                   per_row([land_fraction * c.rho for c in live]),
                   per_row([exit_fraction * c.rho for c in live]),

@@ -39,8 +39,10 @@ from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet
 from edgefol.tracer import (
     CuspClass,
+    TraceConfig,
+    _ChartCore,
+    _trace_worklist,
     detect_cusp_order,
-    integrate_lifted,
     local_sector_count,
 )
 from edgefol.verify import documented_discrepancies, format_verify_report, \
@@ -190,8 +192,10 @@ def test_criterion_6_sector_counts_match_classifier():
 
 
 def _edge_crossing_image_class(jet, kind):
-    eq = lift(build_geometric_bde(jet, kind), CHART_Q)
-    curve = integrate_lifted(eq, (0.12, 0.0, 0.0), 2e-4, 1500, 0.5)
+    bde = build_geometric_bde(jet, kind)
+    (curve,), _, _ = _trace_worklist(
+        bde, _ChartCore(bde), [(CHART_Q, (0.12, 0.0, 0.0), False)],
+        TraceConfig(box=0.5, step=2e-4, max_steps=1500), {CHART_Q: ()})
     cset = CompiledPolySet(list(surface_polynomials(jet)))
     image = np.stack(cset.values(curve.samples[:, 0], curve.samples[:, 1]),
                      axis=1)

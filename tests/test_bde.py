@@ -1,4 +1,4 @@
-"""BDE engine: case split, smoothness determinant, lift, cubic analysis."""
+"""BDE engine: case split, lift, cubic analysis."""
 
 import math
 
@@ -14,14 +14,11 @@ from edgefol.bde import (
     TopClass,
     classify_type2,
     cubic_analysis,
-    cubic_analysis_to_json,
     delta_and_case,
     discriminant_poly,
     hessian_det_origin,
     _ChartCore,
     lift,
-    mmfd_determinant,
-    mmfd_matrix,
     restricted_jacobian,
     solve_cubic_real,
     solve_fiber_coordinate,
@@ -31,6 +28,7 @@ from edgefol.errors import (
     CommonRoot,
     DegenerateDiscriminant,
     DiscriminantNearZero,
+    FiberNotConverged,
     HessianNonNegative,
     InvariantViolation,
 )
@@ -85,30 +83,6 @@ def test_degenerate_discriminant_raises():
 def test_zero_bde_rejected():
     with pytest.raises(ValueError):
         delta_and_case(bde(Poly2(), Poly2(), Poly2()))
-
-
-# --- mmfd determinant ---
-
-def test_mmfd_synthetic_against_numpy():
-    field = bde(V, U, V)
-    mat = np.array(mmfd_matrix(field), dtype=float)
-    assert math.isclose(mmfd_determinant(field), float(np.linalg.det(mat)),
-                        rel_tol=1e-12)
-    assert mmfd_determinant(field) == 4.0
-
-
-def test_mmfd_asymptotic_closed_form():
-    jet = sample_generic_jet(7, "edge_degenerate")
-    det = mmfd_determinant(build_geometric_bde(jet, FoliationKind.ASYMPTOTIC))
-    expect = (jet.b30 - jet.a20 * jet.b12) ** 2 * jet.b03**2 / 4
-    assert math.isclose(det, expect, rel_tol=1e-10)
-
-
-def test_mmfd_characteristic_closed_form():
-    jet = sample_generic_jet(7, "edge_degenerate")
-    det = mmfd_determinant(build_geometric_bde(jet, FoliationKind.CHARACTERISTIC))
-    expect = jet.b03**6 * (jet.a20 * jet.b12 - jet.b30) ** 2 / 64
-    assert math.isclose(det, expect, rel_tol=1e-10)
 
 
 # --- lifted field ---
@@ -288,6 +262,20 @@ def test_cubic_analysis_dual_chart_fallback():
     assert analysis.per_root[0].alpha != 0.0
 
 
+def test_restricted_jacobian_refuses_off_surface_points():
+    # with h = 0.1 the fiber solves around this root stop with |F| up to
+    # 1.4e-2 x the coefficient scale: no Jacobian is differenced from them
+    field = build_geometric_bde(sample_generic_jet(4, "edge_degenerate"),
+                                FoliationKind.ASYMPTOTIC)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    root = analysis.roots[0]
+    assert math.isclose(root, -3.2153, abs_tol=1e-4)
+    eq = lift(field, analysis.chart)
+    restricted_jacobian(eq, root)
+    with pytest.raises(FiberNotConverged):
+        restricted_jacobian(eq, root, h=0.1)
+
+
 @pytest.mark.parametrize("chart", [CHART_P, CHART_Q])
 def test_restricted_jacobian_eigenvalues_random_case3(chart):
     rng = np.random.default_rng(7)
@@ -369,14 +357,3 @@ def test_saddle_count_always_matches_negative_products():
                 TopClass.ONE_NODE: 0,
             }[top]
             assert saddle_count == negatives
-
-
-def test_analysis_serialization():
-    import json
-    jet = EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0)
-    analysis = cubic_analysis(asymptotic_eq(jet))
-    data = json.loads(cubic_analysis_to_json(analysis))
-    assert data["chart"] == "q"
-    assert len(data["roots"]) == 3
-    assert all(r["lifted_type"] == "saddle" for r in data["per_root"])
-    assert "convention_note" in data

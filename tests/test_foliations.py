@@ -28,7 +28,6 @@ from edgefol.foliations import (
     closed_form_analysis,
     closed_form_cubic,
     closed_form_discriminant,
-    genericity_membership,
     hypothesis_failures,
     parse_kind,
 )
@@ -288,16 +287,26 @@ def test_hypothesis_guard_example():
     assert hypothesis_failures(jet, FoliationKind.ASYMPTOTIC) == []
 
 
-def test_genericity_membership_reports():
-    out = genericity_membership(EdgeJet(0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
-    assert out["generic"] and out["near_strata"] == []
+def _reflections(jet):
+    """Jets of the reflected normal forms: the same surface germ, so the
+    same topological class."""
+    a20, a30, b20, b30, b12, b03 = (jet.a20, jet.a30, jet.b20, jet.b30,
+                                    jet.b12, jet.b03)
+    yield "u -> -u", EdgeJet(a20, -a30, b20, -b30, -b12, b03)
+    yield "v -> -v", EdgeJet(a20, a30, b20, b30, b12, -b03)
+    if b20 == 0:
+        yield "x3 -> -x3, v -> -v", EdgeJet(a20, a30, b20, -b30, -b12, b03)
 
-    out = genericity_membership(EdgeJet(0.0, 0.0, 0.0, 0.0, 1.0, 1.0))
-    assert "b30_minus_a20_b12" in out["near_strata"]
-    assert not out["generic"]
 
-    out = genericity_membership(EdgeJet(0.0, 0.0, 0.0, -4.0, 1.0, 1.0))
-    assert "common_root_guard" in out["near_strata"]
+def test_top_class_invariant_under_normal_form_reflections():
+    for scenario in ("generic", "edge_degenerate"):
+        for seed in range(400):
+            jet = sample_generic_jet(seed, scenario)
+            for kind in FoliationKind:
+                want = classify_edge_foliation(jet, kind).top_class
+                for name, image in _reflections(jet):
+                    got = classify_edge_foliation(image, kind).top_class
+                    assert got is want, (scenario, seed, kind, name)
 
 
 def test_classification_serializes():

@@ -15,8 +15,6 @@ from edgefol.errors import HigherTermsPresent
 from edgefol.geometry import (
     eval_surface,
     form_polynomials,
-    fundamental_forms,
-    report_to_csv,
     series_expansion_report,
     surface_polynomials,
 )
@@ -68,12 +66,12 @@ def _sympy_forms(jet):
 def test_forms_match_sympy_oracle(jet):
     oracle, u, v = _sympy_forms(jet)
     rng = np.random.default_rng(2)
+    fp = form_polynomials(jet)
     for _ in range(6):
         uu, vv = rng.uniform(-0.4, 0.4, size=2)
-        mine = fundamental_forms(jet, uu, vv)
         for name in ("E", "F", "G", "L2", "M2", "N2"):
             want = float(oracle[name].subs({u: uu, v: vv}))
-            got = float(getattr(mine, name))
+            got = float(getattr(fp, name)(uu, vv))
             assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12), name
 
 
@@ -119,12 +117,13 @@ def test_edge_is_singular_set():
 
 def test_forms_at_origin():
     jet = EdgeJet(1.25, 0.0, 0.75, 1.0, -0.5, 2.5)
-    forms = fundamental_forms(jet, 0.0, 0.0)
-    assert (forms.E, forms.F, forms.G) == (1.0, 0.0, 0.0)
-    assert forms.Gt == 1.0
-    assert forms.L2 == jet.b20
-    assert forms.Mt == jet.b12
-    assert forms.Nt == jet.b03 / 2
+    fp = form_polynomials(jet)
+    assert (fp.E(0.0, 0.0), fp.F(0.0, 0.0), fp.G(0.0, 0.0)) == (1.0, 0.0, 0.0)
+    # the v-factored quotients G/v^2, M2/v and N2/v, exact on the edge
+    assert fp.G.divide_v(2)(0.0, 0.0) == 1.0
+    assert fp.L2(0.0, 0.0) == jet.b20
+    assert fp.M2.divide_v()(0.0, 0.0) == jet.b12
+    assert fp.N2.divide_v()(0.0, 0.0) == jet.b03 / 2
 
 
 def test_printed_taylor_coefficients():
@@ -141,10 +140,10 @@ def test_factored_quantities_are_exact_polynomial_identities():
         vv = {(0, 2): 1}
         v1 = {(0, 1): 1}
         from edgefol.poly import Poly2
-        assert (fp.G - fp.Gt * Poly2(vv)).is_zero()
-        assert (fp.F - fp.Ft * Poly2(v1)).is_zero()
-        assert (fp.M2 - fp.Mt * Poly2(v1)).is_zero()
-        assert (fp.N2 - fp.Nt * Poly2(v1)).is_zero()
+        assert (fp.G - fp.G.divide_v(2) * Poly2(vv)).is_zero()
+        assert (fp.F - fp.F.divide_v() * Poly2(v1)).is_zero()
+        assert (fp.M2 - fp.M2.divide_v() * Poly2(v1)).is_zero()
+        assert (fp.N2 - fp.N2.divide_v() * Poly2(v1)).is_zero()
 
 
 def test_scaled_normal_orthogonal_to_tangents_exact():
@@ -189,11 +188,11 @@ def test_second_form_matches_unit_normal_convention():
             nu2 = np.cross(fu, fv / v)
             norm = np.linalg.norm(nu2)
             unit = nu2 / norm
-            forms = fundamental_forms(jet, u, v)
+            fp = form_polynomials(jet)
             for name, partial in (("L2", (2, 0)), ("M2", (1, 1)), ("N2", (0, 2))):
                 second = np.dot(np.array(ev.partials[partial], dtype=float), unit)
                 assert math.isclose(
-                    float(getattr(forms, name)), norm * second, rel_tol=1e-9,
+                    float(getattr(fp, name)(u, v)), norm * second, rel_tol=1e-9,
                     abs_tol=1e-12,
                 ), name
 
@@ -227,15 +226,6 @@ def test_series_report_zero_jet_all_forced():
 def test_series_report_requires_h_zero():
     with pytest.raises(HigherTermsPresent):
         series_expansion_report(WITH_HIGHER)
-
-
-def test_report_csv_shape():
-    rows = series_expansion_report(EdgeJet(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
-    csv = report_to_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "quantity,monomial,reference,computed,agree"
-    assert len(lines) == len(rows) + 1
-    assert any(line.endswith("disagree") for line in lines[1:])
 
 
 def test_delta_three_jet_reduction():

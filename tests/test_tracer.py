@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgefol.bde import BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift
-from edgefol.errors import ChartBreakdown, SeedOffSurface, WindowTooSmall
+from edgefol.errors import WindowTooSmall
 from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet, sample_generic_jet
@@ -18,10 +18,10 @@ from edgefol.tracer import (
     _ChartCore,
     _integrate_batch,
     _probe_circle,
+    _trace_worklist,
     detect_cusp_order,
     direction_roots,
     discriminant_locus,
-    integrate_lifted,
     local_sector_count,
     local_sector_counts,
     project_to_surface,
@@ -36,9 +36,17 @@ THREE_SADDLES_JET = EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0)
 ONE_SADDLE_JET = EdgeJet(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
+def _trace_seed(bde, chart, seed, step, max_steps, roots=()):
+    """One seed traced both ways through the portrait's worklist path, in
+    the box [-0.5, 0.5]^2; returns (curves, warnings, continuations)."""
+    return _trace_worklist(
+        bde, _ChartCore(bde), [(chart, seed, False)],
+        TraceConfig(box=0.5, step=step, max_steps=max_steps), {chart: roots})
+
+
 def test_constant_bde_traces_diagonal_line():
-    eq = lift(BdeField(ONE, Poly2(), Poly2.const(-1.0)), "p")
-    curve = integrate_lifted(eq, (0.0, 0.0, 1.0), 1e-3, 4000, 0.5)
+    field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
+    (curve,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 4000)
     assert np.max(np.abs(curve.samples[:, 0] - curve.samples[:, 1])) < 1e-12
     assert np.max(np.abs(curve.samples[:, 2] - 1.0)) < 1e-12
     assert curve.termination == "box_exit"
@@ -59,19 +67,19 @@ def test_on_surface_residual_bound():
 
 
 def test_seed_off_surface_rejected():
-    eq = lift(BdeField(ONE, Poly2(), Poly2.const(-1.0)), "p")
-    with pytest.raises(SeedOffSurface):
-        integrate_lifted(eq, (0.0, 0.0, 0.5), 1e-3, 100, 0.5)
+    field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
+    curves, warnings, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 0.5), 1e-3, 100)
+    assert warnings == 1
+    assert curves == []
 
 
 def test_termination_at_singular_point():
     # fiber seed between two roots: both directions converge to a zero of
     # the lifted field and stop within the singular radius
-    eq = lift(build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC),
-              CHART_Q)
-    analysis = cubic_analysis(eq)
-    curve = integrate_lifted(eq, (0.0, 0.0, 0.0), 1e-3, 40000, 0.5,
-                             singular_points=analysis.roots)
+    field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    (curve,), _, _ = _trace_seed(field, CHART_Q, (0.0, 0.0, 0.0), 1e-3, 40000,
+                                 analysis.roots)
     assert curve.termination == "singular_point"
     assert curve.termination_backward == "singular_point"
     ends = sorted([curve.samples[0, 2], curve.samples[-1, 2]])
@@ -81,45 +89,58 @@ def test_termination_at_singular_point():
 
 def test_termination_near_single_saddle_despite_fiber_escape():
     # seeded near the unique zero: the inward direction terminates at it;
-    # the outward fiber direction escapes the chart, reported as breakdown
-    eq = lift(build_geometric_bde(ONE_SADDLE_JET, FoliationKind.ASYMPTOTIC),
-              CHART_Q)
+    # the outward fiber direction escapes the chart, reported as breakdown;
+    # on the fiber it projects to a point, so nothing is continued
+    field = build_geometric_bde(ONE_SADDLE_JET, FoliationKind.ASYMPTOTIC)
     root = -2.0 ** (-1.0 / 3.0)
-    with pytest.raises(ChartBreakdown) as info:
-        integrate_lifted(eq, (0.0, 0.0, -0.7), 1e-3, 400000, 0.5,
-                         singular_points=(root,))
-    partial = info.value.partial
-    assert "singular_point" in (partial.termination,
-                                partial.termination_backward)
-    end = partial.samples[-1] if partial.termination == "singular_point" \
-        else partial.samples[0]
-    assert math.isclose(end[2], root, abs_tol=2e-5)
+    (curve,), _, continuations = _trace_seed(
+        field, CHART_Q, (0.0, 0.0, -0.7), 1e-3, 400000, (root,))
+    ends = {curve.termination: curve.samples[-1],
+            curve.termination_backward: curve.samples[0]}
+    assert set(ends) == {"singular_point", "chart_breakdown"}
+    assert math.isclose(ends["singular_point"][2], root, abs_tol=2e-5)
+    assert np.array_equal(ends["chart_breakdown"][:2], (0.0, 0.0))
+    assert continuations == []
 
 
 def test_chart_breakdown_raises_with_partial():
-    # on the exceptional fiber the chart variable escapes to infinity
-    eq = lift(build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC),
-              CHART_Q)
-    with pytest.raises(ChartBreakdown) as info:
-        integrate_lifted(eq, (0.0, 0.0, 5.0), 1e-2, 200000, 0.5)
-    partial = info.value.partial
-    assert partial is not None
-    assert info.value.state is not None
-    # the state handed on for continuation is the broken half's last sample
-    assert "chart_breakdown" in (partial.termination,
-                                 partial.termination_backward)
-    end = partial.samples[-1] if partial.termination == "chart_breakdown" \
-        else partial.samples[0]
-    assert np.array_equal(end, info.value.state)
-    assert np.array_equal(partial.samples[partial.seed_sample], (0.0, 0.0, 5.0))
+    # on the exceptional fiber the chart variable escapes to infinity; the
+    # broken half is kept, and since the fiber projects to a point nothing
+    # is continued in the dual chart
+    field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
+    (curve,), _, continuations = _trace_seed(field, CHART_Q, (0.0, 0.0, 5.0),
+                                             1e-2, 200000)
+    assert "chart_breakdown" in (curve.termination, curve.termination_backward)
+    end = curve.samples[-1] if curve.termination == "chart_breakdown" \
+        else curve.samples[0]
+    assert np.array_equal(end[:2], (0.0, 0.0))
+    assert continuations == []
+    assert np.array_equal(curve.samples[curve.seed_sample], (0.0, 0.0, 5.0))
+
+
+def test_chart_breakdown_continues_in_dual_chart():
+    # one boundary curve of this portrait breaks down in its chart; the
+    # portrait continues it in the dual chart from the broken half's end
+    bde = build_geometric_bde(sample_generic_jet(4), FoliationKind.CHARACTERISTIC)
+    portrait = trace_portrait(bde, TraceConfig(box=0.15, seeds_per_side=8,
+                                               max_steps=120))
+    broken = [c for c in portrait.curves if c.seed_index >= 0 and "chart_breakdown"
+              in (c.termination, c.termination_backward)]
+    continued = [c for c in portrait.curves if c.seed_index == -1]
+    assert len(broken) == len(continued) == 1
+    (curve,), (more,) = broken, continued
+    end = curve.samples[-1] if curve.termination == "chart_breakdown" \
+        else curve.samples[0]
+    assert more.chart == (CHART_P if curve.chart == CHART_Q else CHART_Q)
+    assert np.array_equal(more.samples[more.seed_sample],
+                          (end[0], end[1], 1.0 / end[2]))
 
 
 def test_step_halving_convergence():
     field = BdeField(ONE, Poly2.monomial(1, 0, 0.3),
                      Poly2.const(-1.0) + Poly2.monomial(0, 1, 0.4))
-    eq = lift(field, "p")
-    coarse = integrate_lifted(eq, (0.0, 0.0, 1.0), 1e-3, 8000, 0.5)
-    fine = integrate_lifted(eq, (0.0, 0.0, 1.0), 5e-4, 16000, 0.5)
+    (coarse,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 8000)
+    (fine,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 5e-4, 16000)
     assert np.max(np.abs(coarse.samples[-1] - fine.samples[-1])) <= 1e-6
     assert np.max(np.abs(coarse.samples[0] - fine.samples[0])) <= 1e-6
 
@@ -306,8 +327,7 @@ def test_mixed_batch_rows_match_one_row_batches():
     rows += [((0.0, 0.0, 0.0), True, d, (0.0, 0.0), 0.0, 1e9, np.eye(2))
              for d in (1e-3, -1e-3)]
     states, q, step, *ball = (np.array(col) for col in zip(*rows))
-    options = dict(max_steps=3000, record=False, normalize=True,
-                   project_every=10, project_mode="gradient", singular_stop=2e-3,
+    options = dict(max_steps=3000, project_every=10, singular_stop=2e-3,
                    singular={CHART_Q: analysis.roots,
                              CHART_P: [1.0 / r for r in analysis.roots]})
     mixed = _integrate_batch(core, states, q, step=step, ball=tuple(ball),
@@ -433,8 +453,9 @@ def test_composition_through_null_cusp_is_34():
 
 
 def _edge_crossing_curve(jet, kind, u0=0.12, step=2e-4, max_steps=3000):
-    eq = lift(build_geometric_bde(jet, kind), CHART_Q)
-    return integrate_lifted(eq, (u0, 0.0, 0.0), step, max_steps, 0.5)
+    (curve,), _, _ = _trace_seed(build_geometric_bde(jet, kind), CHART_Q,
+                                 (u0, 0.0, 0.0), step, max_steps)
+    return curve
 
 
 def _image_of(jet, curve):
