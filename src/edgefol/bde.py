@@ -15,7 +15,8 @@ both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
 chart-p equation of the u/v swapped tensor, so one compiled evaluator,
 `_ChartCore`, computes F, grad F and xi for both charts: the tracer's RK4
-loop, the fiber Newton solve and the differenced Jacobian all read it.
+loop, the fiber Newton solve and the differenced Jacobian all read it.  A
+`BdeField` owns its evaluator (`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -105,6 +106,11 @@ class BdeField:
         swap = lambda p: Poly2({(j, i): c for (i, j), c in p.terms.items()})
         return BdeField(swap(self.C), swap(self.B), swap(self.A), self.provenance)
 
+    @cached_property
+    def core(self) -> _ChartCore:
+        """The compiled lifted field, built once per BDE on first use."""
+        return _ChartCore(self)
+
 
 def discriminant_poly(bde: BdeField) -> Poly2:
     """delta = B^2 - A*C, exact."""
@@ -165,7 +171,8 @@ class _ChartCore:
     """The compiled lifted field of a BDE in both charts.
 
     It is the one evaluator of F, grad F and xi: the integrator, the fiber
-    Newton solve and the differenced Jacobian all read it.  State rows are
+    Newton solve and the differenced Jacobian all read it, through the
+    `BdeField.core` that compiles it once per BDE.  State rows are
     internal coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in
     chart q, since the chart-q equation of (A, B, C) is the chart-p equation
     of the u/v swapped tensor.  Each row reads its chart's nine values
@@ -201,18 +208,15 @@ class _ChartCore:
         vals, p = self._values(S, q), S[:, 2]
         return (self._F(vals, p), *self._gradient(vals, p))
 
-    def field(self, S, q):
-        """xi = (F_p, p F_p, -(F_u + p F_v)) per internal row."""
+    def rhs(self, S, q, normalize=False):
+        """xi = (F_p, p F_p, -(F_u + p F_v)) per internal row, scaled to
+        unit length if `normalize`."""
         p = S[:, 2]
         Fu, Fv, Fp = self._gradient(self._values(S, q), p)
         out = np.empty_like(S)
         out[:, 0] = Fp
         out[:, 1] = p * Fp
         out[:, 2] = -(Fu + p * Fv)
-        return out
-
-    def rhs(self, S, q, normalize=False):
-        out = self.field(S, q)
         if normalize:
             norms = np.sqrt(np.einsum("ij,ij->i", out, out))
             out /= (norms + 1e-300)[:, None]
@@ -252,11 +256,6 @@ class LiftedEquation:
 
     def dual(self) -> "LiftedEquation":
         return LiftedEquation(self.bde, CHART_P if self.chart == CHART_Q else CHART_Q)
-
-    @cached_property
-    def core(self) -> _ChartCore:
-        """The compiled field of the BDE, built once per equation."""
-        return _ChartCore(self.bde)
 
     def origin_jet(self):
         """First-order data (au, bu, cu, av, bv, cv) at the origin."""
@@ -304,7 +303,6 @@ def solve_quadratic(a, b, c):
         return []
     s = math.sqrt(disc)
     q = -(b + math.copysign(s, b)) / 2.0 if b != 0.0 else s / 2.0
-    roots = []
     if q != 0.0:
         roots = [q / a, c / q]
     else:
@@ -498,7 +496,7 @@ def solve_fiber_coordinate(eq: LiftedEquation, v, p, start, tol=1e-13, iters=30)
     rows = np.stack([v.ravel(), x.ravel(), p.ravel()], axis=1)
     live = np.arange(len(rows))
     for _ in range(iters):
-        f, _, df, _ = eq.core.F_and_gradient(rows[live], eq.chart == CHART_Q)
+        f, _, df, _ = eq.bde.core.F_and_gradient(rows[live], eq.chart == CHART_Q)
         moving = df != 0.0
         step = f[moving] / df[moving]
         live = live[moving]
@@ -532,13 +530,15 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
         points += [(hb, root), (-hb, root), (0.0, root + hc), (0.0, root - hc)]
     w, p = np.array(points).T
     x = solve_fiber_coordinate(eq, w, p, start=root * w)
-    rows, q = np.column_stack([w, x, p]), eq.chart == CHART_Q
-    worst = float(np.max(np.abs(eq.core.residual(rows, q))))
+    F, Fu, Fv, Fp = eq.bde.core.F_and_gradient(np.column_stack([w, x, p]),
+                                               eq.chart == CHART_Q)
+    worst = float(np.max(np.abs(F)))
     bound = 1e-9 * max(1.0, eq.bde.coefficient_scale())
     if worst > bound:
         raise FiberNotConverged(
             f"difference point off M: |F| = {worst:.3e} exceeds {bound:.1e}")
-    xi = eq.core.field(rows, q)[:, [0, 2]]
+    # the (w, p) components of xi, from the same evaluation as F
+    xi = np.column_stack([Fp, -(Fu + p * Fv)])
 
     def central(k):
         d = xi[4 * (k - 1):4 * k]

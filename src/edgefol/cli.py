@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, EdgefolError
 from .foliations import (
@@ -148,13 +149,10 @@ def _cmd_trace(args) -> int:
 def _cmd_render(args) -> int:
     jet, _kind, config, bde, classification = _trace_setup(args)
     style = RenderStyle()
-    if args.camera or args.up:
-        style = RenderStyle(
-            camera_direction=_parse_vec3(args.camera, "--camera")
-            if args.camera else RenderStyle.camera_direction,
-            camera_up=_parse_vec3(args.up, "--up")
-            if args.up else RenderStyle.camera_up,
-        )
+    if args.camera:
+        style = replace(style, camera_direction=_parse_vec3(args.camera, "--camera"))
+    if args.up:
+        style = replace(style, camera_up=_parse_vec3(args.up, "--up"))
     portrait = trace_portrait(bde, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(portrait_to_svg(portrait, style,
@@ -169,23 +167,22 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _write_report(text, out):
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _cmd_verify(args) -> int:
     report = run_verify(args.trials, args.seed, args.tol, args.workers)
-    text = format_verify_report(report)
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_report(format_verify_report(report), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_survey(args) -> int:
     survey = run_survey(args.trials, args.seed, args.workers)
-    text = format_survey_report(survey)
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_report(format_survey_report(survey), args.out)
     return 0
 
 

@@ -20,9 +20,6 @@ from .poly import Poly2
 
 MAX_EVAL_ORDER = 6
 
-_U = Poly2.monomial(1, 0)
-_V = Poly2.monomial(0, 1)
-
 
 @lru_cache(maxsize=512)
 def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:

@@ -5,9 +5,11 @@ the lifted field, which is exactly tangent to every level set of F, so the
 on-surface residual is pure roundoff; a periodic Newton projection in p mops
 that up.  The field comes from the compiled evaluator `bde._ChartCore`,
 which serves both charts (the chart-q field of (A, B, C) equals the
-chart-p field of the u<->v swapped tensor), and every batch row carries its
-own chart, step and stops: a request integrates its charts, time
-directions and probed roots as one batch.
+chart-p field of the u<->v swapped tensor); every function here that has
+the BDE reads it as `bde.core`, compiled once per BDE.  Every batch row
+carries its own chart, step and stops: a request integrates its charts,
+time directions and probed roots as one batch.  A recorded batch logs the
+samples each step takes and assembles one path per row at the end.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -54,6 +56,7 @@ SEED_RESIDUAL_TOL = 1e-8
 CHART_BOUND = 1e3
 SEPARATRIX_OFFSET = 1e-4     # separatrix seeds' distance from their saddle
 PROJECT_EVERY = 50           # RK4 steps between scheduled projections onto M
+PROBE_PROJECT_EVERY = 10     # the same for sector probes (gradient projection)
 SINGULAR_STOP = 1e-5         # radius around a lifted zero that ends a curve
 LOCUS_GRID = 512             # marching-squares samples per box side
 
@@ -127,13 +130,19 @@ class _BatchResult:
     paths: list | None           # per-state (k, 3) internal samples incl. seed
 
 
-_RECORD_BUDGET = 6_000_000  # state rows held in the trajectory buffer
+def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
+    """One Newton step in the chart variable toward F = 0, in place on the
+    rows of S.  Rows with |F_p| <= 1e-12 or |F| < ftol keep their value;
+    returns whether any row moved."""
+    f, fp = core.residual_and_fp(S, q)
+    ok = (np.abs(fp) > 1e-12) & ~(np.abs(f) < ftol)
+    S[ok, 2] -= f[ok] / fp[ok]
+    return bool(ok.any())
 
 
 def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
                      box=None, singular=None, singular_stop=SINGULAR_STOP,
-                     chart_bound=CHART_BOUND, project_every=PROJECT_EVERY,
-                     ball=None):
+                     chart_bound=CHART_BOUND, ball=None):
     """Fixed-step RK4 on the lifted field for a batch of internal states.
 
     Each row has its own chart (`q`), signed `step` and stopping tests: box
@@ -144,38 +153,22 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
     A batch with a `ball` is a sector probe: it follows the unit-speed
-    field, projects along the full gradient and records no paths.
-    Terminated rows freeze; the loop ends when none remain.
+    field, projects along the full gradient every PROBE_PROJECT_EVERY steps
+    and records no paths.  Any other batch logs each step's samples and
+    assembles one path per row at the end.  Terminated rows freeze; the
+    loop ends when none remain.
     """
-    states = np.array(states, dtype=float)
-    n = len(states)
+    S = np.array(states, dtype=float)
+    n = len(S)
     q = np.broadcast_to(q, (n,))
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
     probe = ball is not None
-    if not probe and n * (max_steps + 1) > _RECORD_BUDGET:
-        chunk = max(1, _RECORD_BUDGET // (max_steps + 1))
-        parts = [
-            _integrate_batch(
-                core, states[i:i + chunk], q[i:i + chunk],
-                step=step[i:i + chunk], max_steps=max_steps,
-                box=box, singular=singular, singular_stop=singular_stop,
-                chart_bound=chart_bound, project_every=project_every)
-            for i in range(0, n, chunk)
-        ]
-        return _BatchResult(
-            status=np.concatenate([p.status for p in parts]),
-            final=np.vstack([p.final for p in parts]),
-            steps=np.concatenate([p.steps for p in parts]),
-            paths=[path for p in parts for path in p.paths],
-        )
-
-    S = states
+    project_every = PROBE_PROJECT_EVERY if probe else PROJECT_EVERY
     status = np.array([""] * n, dtype=object)
     steps_used = np.zeros(n, dtype=int)
-    buffer = None
-    if not probe:
-        buffer = np.empty((n, max_steps + 1, 3))
-        buffer[:, 0] = S
+    # (rows, sample index, samples, wild) per step, the seeds first
+    log = None if probe else [(np.arange(n), np.zeros(n, dtype=int), S.copy(),
+                               np.zeros(n, dtype=bool))]
     active = np.arange(n)
     # each row's singular points, padded with inf (never within reach)
     sing_by_chart = [(singular or {}).get(c, ()) for c in (CHART_P, CHART_Q)]
@@ -189,106 +182,104 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     # the curve freezes at its last accepted sample (re-projected onto M)
     # with a chart-breakdown status so the caller can continue in the dual
     # chart, where the motion is slow again.  Per-row parameters, that step
-    # cap among them, are kept aligned with `active`.
+    # cap among them, are gathered through `active` whenever it shrinks.
     h, abs_h = step[:, None], np.abs(step)
-    live = [q, 0.5 * h, h, h / 6.0, 5.0 * abs_h, 20.0 * abs_h,
-            np.maximum(0.05, 50.0 * abs_h), sing, *(ball or ())]
-
+    per_row = dict(q=q, h=h, half_h=0.5 * h, sixth_h=h / 6.0,
+                   stiff_move=5.0 * abs_h, wild_move=20.0 * abs_h,
+                   cap=np.maximum(0.05, 50.0 * abs_h), sing=sing)
+    if probe:
+        per_row.update(zip(("center", "land", "exit", "transform"), ball))
+    r = per_row
     for k in range(1, max_steps + 1):
         if active.size == 0:
             break
-        qa, half_h, h, sixth_h, stiff_move, wild_move, cap, sg, *bl = live
+        qa = r["q"]
         cur = S[active]
         k1 = core.rhs(cur, qa, probe)
-        k2 = core.rhs(cur + half_h * k1, qa, probe)
-        k3 = core.rhs(cur + half_h * k2, qa, probe)
-        k4 = core.rhs(cur + h * k3, qa, probe)
-        nxt = cur + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = core.rhs(cur + r["half_h"] * k1, qa, probe)
+        k3 = core.rhs(cur + r["half_h"] * k2, qa, probe)
+        k4 = core.rhs(cur + r["h"] * k3, qa, probe)
+        nxt = cur + r["sixth_h"] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         move = np.abs(nxt - cur)
         # scheduled projection, plus a safety projection wherever the chart
         # variable is moving fast (stiff approach to a vertical direction,
         # where the 50-step cadence provably undershoots)
-        stiff = move[:, 2] > stiff_move
+        stiff = move[:, 2] > r["stiff_move"]
         scheduled = k % project_every == 0
         if scheduled and probe:
             core.project_gradient(nxt, qa)
         elif scheduled or stiff.any():
-            rows = np.arange(len(nxt)) if scheduled else np.nonzero(stiff)[0]
-            f, fp = core.residual_and_fp(nxt[rows], qa[rows])
-            ok = np.abs(fp) > 1e-12
-            sel = rows[ok]
-            nxt[sel, 2] -= f[ok] / fp[ok]
+            rows = slice(None) if scheduled else stiff
+            part = nxt[rows]
+            _newton_p(core, part, qa[rows])
+            nxt[rows] = part
         wild = (
             ~np.all(np.isfinite(nxt), axis=1)
             | (np.abs(nxt[:, 2]) > chart_bound)
-            | (move[:, 2] > np.maximum(wild_move,
+            | (move[:, 2] > np.maximum(r["wild_move"],
                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
-            | (np.maximum(move[:, 0], move[:, 1]) > cap)
+            | (np.maximum(move[:, 0], move[:, 1]) > r["cap"])
         )
         # a wild row keeps its last accepted sample, re-projected onto M in p
-        rows = np.nonzero(wild)[0]
-        if rows.size:
-            frozen = cur[rows]
-            f, fp = core.residual_and_fp(frozen, qa[rows])
-            ok = np.abs(fp) > 1e-12
-            frozen[ok, 2] -= f[ok] / fp[ok]
-            nxt[rows] = frozen
-            status[active[rows]] = TERM_CHART
+        if wild.any():
+            frozen = cur[wild]
+            _newton_p(core, frozen, qa[wild])
+            nxt[wild] = frozen
         at = k - wild               # a wild row keeps its step count
         S[active] = nxt
         steps_used[active] = at
-        if not probe:
-            buffer[active, at] = nxt
+        if log is not None:
+            log.append((active, at, nxt, wild))
 
-        done = wild.copy()
-
-        def _finish(mask, term):
-            nonlocal done
-            for row in np.nonzero(mask & ~done)[0]:
-                status[active[row]] = term
-            done |= mask
-
+        stops = [(wild, TERM_CHART)]
         if box is not None:
-            _finish((np.abs(nxt[:, 0]) > box) | (np.abs(nxt[:, 1]) > box), TERM_BOX)
+            stops.append((np.abs(nxt[:, :2]).max(axis=1) > box, TERM_BOX))
         if sing.size:
             d2 = (nxt[:, 0, None] ** 2 + nxt[:, 1, None] ** 2
-                  + (nxt[:, 2, None] - sg) ** 2)
-            _finish(d2.min(axis=1) < singular_stop**2, TERM_SINGULAR)
-        if bl:
-            center, land, exit_, transform = bl
-            dw = nxt[:, 0] - center[:, 0]
-            dp = nxt[:, 2] - center[:, 1]
-            dw, dp = (transform[:, 0, 0] * dw + transform[:, 0, 1] * dp,
-                      transform[:, 1, 0] * dw + transform[:, 1, 1] * dp)
+                  + (nxt[:, 2, None] - r["sing"]) ** 2)
+            stops.append((d2.min(axis=1) < singular_stop**2, TERM_SINGULAR))
+        if probe:
+            dw = nxt[:, 0] - r["center"][:, 0]
+            dp = nxt[:, 2] - r["center"][:, 1]
+            m = r["transform"]
+            dw, dp = (m[:, 0, 0] * dw + m[:, 0, 1] * dp,
+                      m[:, 1, 0] * dw + m[:, 1, 1] * dp)
             r2 = dw * dw + dp * dp
-            _finish(r2 < land**2, TERM_LANDED)
-            _finish(r2 > exit_**2, TERM_EXITED)
-
+            stops += [(r2 < r["land"]**2, TERM_LANDED),
+                      (r2 > r["exit"]**2, TERM_EXITED)]
+        done = np.zeros(len(nxt), dtype=bool)
+        for mask, term in stops:     # the first test a row meets names its stop
+            status[active[mask & ~done]] = term
+            done |= mask
         if done.any():
             active = active[~done]
-            live = [x[~done] for x in live]
+            r = {name: x[active] for name, x in per_row.items()}
 
-    for idx in active:
-        status[idx] = TERM_CAP
+    status[active] = TERM_CAP
     paths = None
-    if not probe:
-        paths = [buffer[i, :steps_used[i] + 1].copy() for i in range(n)]
+    if log is not None:
+        rows, at, samples, wild = (np.concatenate(col) for col in zip(*log))
+        sizes = steps_used + 1
+        ends = np.cumsum(sizes)
+        where = ends[rows] - sizes[rows] + at
+        out = np.empty((sizes.sum(), 3))
+        out[where[~wild]] = samples[~wild]
+        # a wild row's re-projected sample replaces the one logged before it
+        out[where[wild]] = samples[wild]
+        paths = np.split(out, ends)[:-1]
     return _BatchResult(status=status, final=S, steps=steps_used, paths=paths)
 
 
 def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore, q) -> np.ndarray:
-    """Replace an out-of-box final sample by its interpolation to the boundary.
+    """Replace the out-of-box final sample of a box-exit path (at least one
+    step long) by its interpolation to the boundary.
 
     The interpolated chart variable is Newton-polished back onto {F = 0} so
     the clipped sample satisfies the on-surface residual bound like every
     other sample.
     """
-    if len(path) < 2:
-        return path
     last, prev = path[-1], path[-2]
-    if max(abs(last[0]), abs(last[1])) <= box:
-        return path
     spans = []
     for i in range(2):
         if abs(last[i]) > box and abs(last[i] - prev[i]) > 0:
@@ -296,19 +287,15 @@ def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore, q) -> np.ndarra
             spans.append((target - prev[i]) / (last[i] - prev[i]))
     s = min((x for x in spans if 0.0 <= x <= 1.0), default=1.0)
     path = path.copy()
-    clipped = prev + s * (last - prev)
+    clipped = (prev + s * (last - prev))[None, :]
     for _ in range(8):
-        f, fp = core.residual_and_fp(clipped[None, :], q)
-        if abs(fp[0]) < 1e-12 or abs(f[0]) < 1e-15:
+        if not _newton_p(core, clipped, q, ftol=1e-15):
             break
-        clipped[2] -= f[0] / fp[0]
-    path[-1] = clipped
+    path[-1] = clipped[0]
     return path
 
 
 def _arclength(samples: np.ndarray) -> np.ndarray:
-    if len(samples) == 1:
-        return np.zeros(1)
     d = np.sqrt(np.sum(np.diff(samples, axis=0) ** 2, axis=1))
     return np.concatenate([[0.0], np.cumsum(d)])
 
@@ -320,10 +307,7 @@ def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
         back_path = _clip_to_box(back_path, box, core, q)
     if fwd_status == TERM_BOX:
         fwd_path = _clip_to_box(fwd_path, box, core, q)
-    if len(fwd_path) > 1:
-        samples_internal = np.vstack([back_path[::-1], fwd_path[1:]])
-    else:
-        samples_internal = back_path[::-1]
+    samples_internal = np.vstack([back_path[::-1], fwd_path[1:]])
     samples = _swap_uv(samples_internal, q)
     return TracedCurve(
         samples=samples,
@@ -399,13 +383,14 @@ def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
     return seeds
 
 
-def _trace_worklist(bde: BdeField, core: _ChartCore, worklist,
-                    config: TraceConfig, singular_by_chart):
+def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
+                    singular_by_chart):
     """Integrate (chart, state, is_separatrix) seeds both ways in one batch.
 
     Returns the curves in worklist order, the number of seeds dropped as off
     M, and the chart-breakdown continuations: chart-p seeds first, each
     chart in worklist order, backward before forward."""
+    core = bde.core
     entries = sorted(enumerate(worklist), key=lambda e: e[1][0])
     q = np.array([chart == CHART_Q for _, (chart, _, _) in entries], dtype=bool)
     states = _swap_uv(np.reshape([e[1][1] for e in entries], (-1, 3)), q)
@@ -490,12 +475,11 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
         except EdgefolError:
             warnings += 1
 
-    core = _ChartCore(bde)
     curves, warn2, continuations = _trace_worklist(
-        bde, core, worklist, config, singular_by_chart)
+        bde, worklist, config, singular_by_chart)
     warnings += warn2
     if continuations:
-        more, warn3, _ = _trace_worklist(bde, core, continuations, config,
+        more, warn3, _ = _trace_worklist(bde, continuations, config,
                                          singular_by_chart)
         for c in more:
             c.seed_index = -1
@@ -703,6 +687,11 @@ def detect_cusp_order(points, t=None, t0: float = 0.0,
 
 # --- sector-count oracle ---
 
+PROBE_RADIUS = 0.02          # largest probe-circle radius
+PROBES_PER_SIDE = 8          # probes on each side of the circle
+LAND_FRACTION = 0.05         # landing radius, as a fraction of the circle's
+EXIT_FRACTION = 3.0          # exit radius, likewise
+
 def _edge_zero_distance(bde: BdeField) -> float:
     """Distance from the origin to the nearest other degenerate fiber on the
     edge v = 0.
@@ -766,8 +755,8 @@ class _ProbeCircle(NamedTuple):
     internal: np.ndarray         # internal coordinates
 
 
-def _probe_circle(bde: BdeField, core: _ChartCore, analysis: CubicAnalysis,
-                  root_index: int, radius: float, probes_per_side: int) -> _ProbeCircle:
+def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
+                  root_index: int) -> _ProbeCircle:
     root = analysis.roots[root_index]
     chart = analysis.chart
     if abs(root) > 1.0:
@@ -813,13 +802,13 @@ def _probe_circle(bde: BdeField, core: _ChartCore, analysis: CubicAnalysis,
         (abs(float(c)) for poly in (bde.A, bde.B, bde.C)
          for (i, j), c in poly.terms.items() if i + j == 2), default=0.0)
     lam_min = float(np.min(np.abs(np.real(eigvals))))
-    rho = max(1e-6, min(radius, 0.3 * gap, 0.3 * _edge_zero_distance(bde),
+    rho = max(1e-6, min(PROBE_RADIUS, 0.3 * gap, 0.3 * _edge_zero_distance(bde),
                         0.2 * lam_min / max(second_order, 1e-9)))
 
     angles = []
     span = 0.38 * math.pi
-    for k in range(probes_per_side):
-        base = -span + 2 * span * (k + 0.5) / probes_per_side
+    for k in range(PROBES_PER_SIDE):
+        base = -span + 2 * span * (k + 0.5) / PROBES_PER_SIDE
         angles.extend([base, base + math.pi])
 
     dw, dp = np.array([basis @ (rho * math.cos(psi), rho * math.sin(psi))
@@ -827,17 +816,15 @@ def _probe_circle(bde: BdeField, core: _ChartCore, analysis: CubicAnalysis,
     p = root + dp
     w = solve_fiber_coordinate(eq, dw, p, start=root * dw)
     internal = np.column_stack([dw, w, p])   # internal coordinates of either chart
-    resid = np.abs(core.residual(internal, chart == CHART_Q))
+    resid = np.abs(bde.core.residual(internal, chart == CHART_Q))
     keep = resid <= 1e-9 * max(1.0, bde.coefficient_scale())
     weak_index = int(np.argmin(np.abs(np.real(eigvals))))
     return _ProbeCircle(chart == CHART_Q, root, rho, inverse, weak_index,
                         internal[keep])
 
 
-def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
-                        *, radius: float = 0.02, probes_per_side: int = 8,
-                        land_fraction: float = 0.05,
-                        exit_fraction: float = 3.0) -> list:
+def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
+                        indices=None) -> list:
     """Probe the flow near lifted singular points and count local sectors.
 
     Probes seed on a small circle around (0, 0, p_i) in the eigencoordinates
@@ -848,29 +835,27 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
     pattern (2 landing fans).  One SectorCount per root in `indices` (every
     root by default); all their probes and both directions share one batch.
     """
-    core = _ChartCore(bde)
     if indices is None:
         indices = range(len(analysis.roots))
-    circles = [_probe_circle(bde, core, analysis, i, radius, probes_per_side)
-               for i in indices]
+    circles = [_probe_circle(bde, analysis, i) for i in indices]
     # each circle with enough probes: its forward rows, then its backward rows
-    live = [c for c in circles if len(c.internal) >= probes_per_side]
-    sizes = [2 * len(c.internal) for c in live]
+    probed = [c for c in circles if len(c.internal) >= PROBES_PER_SIDE]
+    sizes = [2 * len(c.internal) for c in probed]
 
     def per_row(values):
         return np.repeat(np.array(values), sizes, axis=0)
 
-    if live:
+    if probed:
         res = _integrate_batch(
-            core, np.vstack([np.vstack([c.internal] * 2) for c in live]),
-            per_row([c.q for c in live]),
+            bde.core, np.vstack([np.vstack([c.internal] * 2) for c in probed]),
+            per_row([c.q for c in probed]),
             step=np.concatenate([np.repeat([c.rho / 60.0, -c.rho / 60.0],
-                                           len(c.internal)) for c in live]),
-            max_steps=24000, project_every=10,
-            ball=(per_row([(0.0, c.root) for c in live]),
-                  per_row([land_fraction * c.rho for c in live]),
-                  per_row([exit_fraction * c.rho for c in live]),
-                  per_row([c.inverse for c in live])),
+                                           len(c.internal)) for c in probed]),
+            max_steps=24000,
+            ball=(per_row([(0.0, c.root) for c in probed]),
+                  per_row([LAND_FRACTION * c.rho for c in probed]),
+                  per_row([EXIT_FRACTION * c.rho for c in probed]),
+                  per_row([c.inverse for c in probed])),
         )
 
     def eigencoords(c, states):
@@ -879,7 +864,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
     counts, start = [], 0
     for c in circles:
         n = len(c.internal)
-        if n < probes_per_side:
+        if n < PROBES_PER_SIDE:
             counts.append(SectorCount(None, "ambiguous", 0, 0, 0, n))
             continue
         y_seed = eigencoords(c, c.internal)
@@ -915,7 +900,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis, indices=None,
     return counts
 
 
-def local_sector_count(bde: BdeField, analysis: CubicAnalysis, root_index: int,
-                       **options) -> SectorCount:
+def local_sector_count(bde: BdeField, analysis: CubicAnalysis,
+                       root_index: int) -> SectorCount:
     """`local_sector_counts` for the single root `root_index`."""
-    return local_sector_counts(bde, analysis, (root_index,), **options)[0]
+    return local_sector_counts(bde, analysis, (root_index,))[0]

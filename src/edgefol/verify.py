@@ -84,6 +84,7 @@ def _rel_err(a: float, b: float) -> float:
 
 def _closed_form_trial(args):
     master, index, tol = args
+    tol = max(tol, 1e-10)
     jet = sample_generic_jet(_trial_seed(master, 1, index), "edge_degenerate")
     worst = 0.0
     for kind in _GEOMETRIC_KINDS:
@@ -218,16 +219,18 @@ def _impossible_trial(args):
     return True, 0.0
 
 
+# (name, trial function, (trial argument, trial cap)): an argument of None
+# passes the run's tolerance, and a cap of None runs every requested trial
 _SUITES = (
-    ("closed_form_agreement", _closed_form_trial, "tol"),
-    ("discriminant_identity", _discriminant_trial, "1e-12"),
-    ("eigenvalue_jacobian", _eigenvalue_trial, "1e-6"),
-    ("tangency_identity", _tangency_trial, "points"),
-    ("discriminant_vs_roots", _root_count_trial, "cubics"),
-    ("sector_counts", _sector_trial, ""),
-    ("lc_regular_pair", _lc_trial, ""),
-    ("cusp_family_transverse", _cusp_family_trial, ""),
-    ("impossible_sign_config", _impossible_trial, ""),
+    ("closed_form_agreement", _closed_form_trial, (None, None)),
+    ("discriminant_identity", _discriminant_trial, (1e-12, None)),
+    ("eigenvalue_jacobian", _eigenvalue_trial, (1e-6, 200)),
+    ("tangency_identity", _tangency_trial, (10_000, 100)),   # points per trial
+    ("discriminant_vs_roots", _root_count_trial, (100, 100)),  # cubics per trial
+    ("sector_counts", _sector_trial, (None, 100)),
+    ("lc_regular_pair", _lc_trial, (None, None)),
+    ("cusp_family_transverse", _cusp_family_trial, (None, None)),
+    ("impossible_sign_config", _impossible_trial, (None, None)),
 )
 
 
@@ -299,36 +302,18 @@ def documented_discrepancies():
 # --- suite sizing ---
 
 def _suite_trials(name: str, trials: int) -> int:
-    if name == "eigenvalue_jacobian":
-        return min(trials, 200)
-    if name == "sector_counts":
-        return min(trials, 100)
-    if name == "tangency_identity":
-        return min(trials, 100)      # x 10^4 points per trial
-    if name == "discriminant_vs_roots":
-        return min(trials, 100)      # x 100 cubics per trial
-    return trials
+    cap = next(cap for suite, _, (_, cap) in _SUITES if suite == name)
+    return trials if cap is None else min(trials, cap)
 
 
 def run_verify(trials: int, seed: int, tolerance: float = 1e-8,
                workers: int = 1) -> VerifyReport:
     """Run every oracle suite and collect a deterministic report."""
     report = VerifyReport(seed=seed, trials=trials, tolerance=tolerance)
-    for name, fn, _ in _SUITES:
+    for name, fn, (arg, _) in _SUITES:
         n = _suite_trials(name, trials)
-        if name == "closed_form_agreement":
-            args = [(seed, i, max(tolerance, 1e-10)) for i in range(n)]
-        elif name == "discriminant_identity":
-            args = [(seed, i, 1e-12) for i in range(n)]
-        elif name == "eigenvalue_jacobian":
-            args = [(seed, i, 1e-6) for i in range(n)]
-        elif name == "tangency_identity":
-            args = [(seed, i, 10_000) for i in range(n)]
-        elif name == "discriminant_vs_roots":
-            args = [(seed, i, 100) for i in range(n)]
-        else:
-            args = [(seed, i, tolerance) for i in range(n)]
-        results = _run_trials(fn, args, workers)
+        arg = tolerance if arg is None else arg
+        results = _run_trials(fn, [(seed, i, arg) for i in range(n)], workers)
         failures = sum(1 for ok, _ in results if not ok)
         worst = max((w for _, w in results), default=0.0)
         report.suites.append(SuiteResult(name, n, failures, worst))

@@ -40,7 +40,6 @@ from edgefol.poly import CompiledPolySet
 from edgefol.tracer import (
     CuspClass,
     TraceConfig,
-    _ChartCore,
     _trace_worklist,
     detect_cusp_order,
     local_sector_count,
@@ -194,7 +193,7 @@ def test_criterion_6_sector_counts_match_classifier():
 def _edge_crossing_image_class(jet, kind):
     bde = build_geometric_bde(jet, kind)
     (curve,), _, _ = _trace_worklist(
-        bde, _ChartCore(bde), [(CHART_Q, (0.12, 0.0, 0.0), False)],
+        bde, [(CHART_Q, (0.12, 0.0, 0.0), False)],
         TraceConfig(box=0.5, step=2e-4, max_steps=1500), {CHART_Q: ()})
     cset = CompiledPolySet(list(surface_polynomials(jet)))
     image = np.stack(cset.values(curve.samples[:, 0], curve.samples[:, 1]),

@@ -17,7 +17,6 @@ from edgefol.bde import (
     delta_and_case,
     discriminant_poly,
     hessian_det_origin,
-    _ChartCore,
     lift,
     restricted_jacobian,
     solve_cubic_real,
@@ -91,7 +90,7 @@ def test_lifted_field_vanishing_fp_kills_base_motion():
     # chart p: F = p^2 + u; chart q: F = v + q^2.  F_p = 0 at the origin
     for chart, field in ((CHART_P, bde(ONE, Poly2(), U)),
                          (CHART_Q, bde(V, Poly2(), ONE))):
-        xi = _ChartCore(field).rhs(np.zeros((1, 3)), chart == CHART_Q)[0]
+        xi = field.core.rhs(np.zeros((1, 3)), chart == CHART_Q)[0]
         assert xi[0] == 0.0 and xi[1] == 0.0
         assert xi[2] == -1.0
 
@@ -115,7 +114,7 @@ def test_lifted_field_tangency_identity():
     for _ in range(30):
         polys = [Poly2({(i, j): rng.normal() for i in range(3)
                         for j in range(3)}) for _ in range(3)]
-        core = _ChartCore(BdeField(*polys))
+        core = BdeField(*polys).core
         for chart in (CHART_P, CHART_Q):
             u, v, p = rng.normal(size=3)
             fu, fv, fp = grad = _exact_gradient(polys, chart, u, v, p)

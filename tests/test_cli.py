@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,15 @@ def test_verify_deterministic_across_worker_counts(capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verify_report_bytes_pinned(capsys):
+    # sha256 of the whole report: any change to a suite's trial count,
+    # worst value or layout, or to the discrepancy texts, moves it
+    assert main(["verify", "--trials", "6", "--seed", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == (
+        "5e773540a9ba3b3440316d3fcb3c82df703b09af1f42df8cdefc9d26f5df8154")
 
 
 def test_survey_deterministic_and_reports_frequencies(capsys):

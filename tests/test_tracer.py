@@ -15,9 +15,9 @@ from edgefol.render import portrait_to_svg
 from edgefol.tracer import (
     CuspClass,
     TraceConfig,
-    _ChartCore,
     _integrate_batch,
     _probe_circle,
+    _swap_uv,
     _trace_worklist,
     detect_cusp_order,
     direction_roots,
@@ -40,7 +40,7 @@ def _trace_seed(bde, chart, seed, step, max_steps, roots=()):
     """One seed traced both ways through the portrait's worklist path, in
     the box [-0.5, 0.5]^2; returns (curves, warnings, continuations)."""
     return _trace_worklist(
-        bde, _ChartCore(bde), [(chart, seed, False)],
+        bde, [(chart, seed, False)],
         TraceConfig(box=0.5, step=step, max_steps=max_steps), {chart: roots})
 
 
@@ -315,8 +315,8 @@ def test_mixed_batch_rows_match_one_row_batches():
     trajectory they follow alone."""
     field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(field, CHART_Q))
-    core = _ChartCore(field)
-    circles = [_probe_circle(field, core, analysis, i, 0.02, 8)
+    core = field.core
+    circles = [_probe_circle(field, analysis, i)
                for i in range(len(analysis.roots))]
     assert {c.q for c in circles} == {True, False}
     # (state, chart q, step, ball center, land, exit, transform): probes of
@@ -327,7 +327,7 @@ def test_mixed_batch_rows_match_one_row_batches():
     rows += [((0.0, 0.0, 0.0), True, d, (0.0, 0.0), 0.0, 1e9, np.eye(2))
              for d in (1e-3, -1e-3)]
     states, q, step, *ball = (np.array(col) for col in zip(*rows))
-    options = dict(max_steps=3000, project_every=10, singular_stop=2e-3,
+    options = dict(max_steps=3000, singular_stop=2e-3,
                    singular={CHART_Q: analysis.roots,
                              CHART_P: [1.0 / r for r in analysis.roots]})
     mixed = _integrate_batch(core, states, q, step=step, ball=tuple(ball),
@@ -339,6 +339,35 @@ def test_mixed_batch_rows_match_one_row_batches():
                                ball=tuple(x[r:r + 1] for x in ball), **options)
         assert (mixed.status[r], mixed.steps[r]) == (one.status[0], one.steps[0])
         assert np.array_equal(mixed.final[r], one.final[0])
+
+
+def test_recorded_batch_rows_match_one_row_batches():
+    """Recorded rows of one batch (both charts, both time directions) keep
+    exactly the path, status and step count they get alone, whether they
+    exit the box, hit the step cap or break down at a vertical direction.
+    At 600 steps 9 of the 64 rows break down, and for 4 of them the
+    re-projection moves the last sample."""
+    field = build_geometric_bde(sample_generic_jet(4), FoliationKind.CHARACTERISTIC)
+    config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=600)
+    seeds = [c for c in trace_portrait(field, config).curves if c.seed_index >= 0]
+    q = np.array([c.chart == CHART_Q for c in seeds] * 2)
+    states = _swap_uv(np.array([c.samples[c.seed_sample] for c in seeds] * 2), q)
+    step = np.repeat([config.step, -config.step], len(seeds))
+    options = dict(max_steps=config.max_steps, box=config.box)
+    mixed = _integrate_batch(field.core, states, q, step=step, **options)
+    assert set(q) == {True, False}
+    assert set(mixed.status) == {"box_exit", "step_cap", "chart_breakdown"}
+    for r in range(len(states)):
+        one = _integrate_batch(field.core, states[r:r + 1], q[r:r + 1],
+                               step=step[r:r + 1], **options)
+        assert (mixed.status[r], mixed.steps[r]) == (one.status[0], one.steps[0])
+        path, alone = mixed.paths[r], one.paths[0]
+        assert path.shape == alone.shape == (mixed.steps[r] + 1, 3)
+        assert path.tobytes() == alone.tobytes()
+        # a path runs from the seed to the row's final state (for a broken
+        # row, its re-projected last sample)
+        assert path[0].tobytes() == states[r].tobytes()
+        assert path[-1].tobytes() == mixed.final[r].tobytes()
 
 
 def test_batched_sector_counts_equal_single_root_counts():
