@@ -86,7 +86,6 @@ class BdeField:
     A: Poly2
     B: Poly2
     C: Poly2
-    provenance: str = "synthetic"
 
     def coefficient_scale(self) -> float:
         return max(
@@ -104,7 +103,7 @@ class BdeField:
     def swapped(self) -> "BdeField":
         """The same direction field written with u and v exchanged."""
         swap = lambda p: Poly2({(j, i): c for (i, j), c in p.terms.items()})
-        return BdeField(swap(self.C), swap(self.B), swap(self.A), self.provenance)
+        return BdeField(swap(self.C), swap(self.B), swap(self.A))
 
     @cached_property
     def core(self) -> _ChartCore:
@@ -125,30 +124,30 @@ def unique_direction_at_origin(bde: BdeField):
     return d1 if math.hypot(*d1) >= math.hypot(*d2) else d2
 
 
-def delta_and_case(bde: BdeField, tol: float = CASE_TOL):
+def delta_and_case(bde: BdeField):
     """Discriminant polynomial and origin case of a BDE.
 
     Zero tests are scale-free: coefficients are normalized by the largest
-    coefficient magnitude before comparing against tol.
+    coefficient magnitude before comparing against CASE_TOL.
     """
     scale = bde.coefficient_scale()
     if scale == 0.0:
         raise ValueError("zero BDE")
     delta = discriminant_poly(bde)
     a0, b0, c0 = bde.origin_values()
-    if max(abs(a0), abs(b0), abs(c0)) <= scale * tol:
+    if max(abs(a0), abs(b0), abs(c0)) <= scale * CASE_TOL:
         return delta, Case.CASE3
 
     d0 = float(delta.coeff(0, 0))
     dscale = scale * scale
-    if d0 > dscale * tol:
+    if d0 > dscale * CASE_TOL:
         return delta, Case.CASE1_REGULAR
-    if d0 < -dscale * tol:
+    if d0 < -dscale * CASE_TOL:
         return delta, Case.CASE1_DISCRIMINANT
 
     grad = (float(delta.coeff(1, 0)), float(delta.coeff(0, 1)))
     gnorm = math.hypot(*grad)
-    if gnorm <= dscale * tol:
+    if gnorm <= dscale * CASE_TOL:
         raise DegenerateDiscriminant(
             "delta and its differential both vanish at the origin "
             "while the coefficients do not"
@@ -156,7 +155,7 @@ def delta_and_case(bde: BdeField, tol: float = CASE_TOL):
     direction = unique_direction_at_origin(bde)
     dnorm = math.hypot(*direction)
     alignment = (grad[0] * direction[0] + grad[1] * direction[1]) / (gnorm * dnorm)
-    if abs(alignment) > tol:
+    if abs(alignment) > CASE_TOL:
         return delta, Case.CASE2_TRANSVERSE
     return delta, Case.CASE2_TANGENT
 
@@ -310,11 +309,11 @@ def solve_quadratic(a, b, c):
     return sorted(roots)
 
 
-def solve_cubic_real(c3, c2, c1, c0, polish: int = 2):
+def solve_cubic_real(c3, c2, c1, c0):
     """Real roots of a cubic with c3 != 0, ascending.
 
     Trigonometric branch for three real roots, Cardano for one, followed by
-    Newton polish against the original coefficients.
+    two Newton steps against the original coefficients.
     """
     if c3 == 0.0:
         return solve_quadratic(c2, c1, c0)
@@ -344,7 +343,7 @@ def solve_cubic_real(c3, c2, c1, c0, polish: int = 2):
     deriv = (3.0 * c3, 2.0 * c2, c1)
     polished = []
     for x in roots:
-        for _ in range(polish):
+        for _ in range(2):
             fx = polyval(coeffs, x)
             dfx = polyval(deriv, x)
             if dfx != 0.0:
@@ -373,15 +372,12 @@ class CubicAnalysis:
     D_normalized: float
     roots: tuple
     per_root: tuple
-    convention_note: str = SIGN_CONVENTION_NOTE
 
     def saddle_count(self) -> int:
         return sum(1 for r in self.per_root if r.lifted_type == SADDLE)
 
 
-def analyse_cubic(phi, alpha, chart: str,
-                  d_tol: float = DISCRIMINANT_TOL,
-                  common_root_tol: float = COMMON_ROOT_TOL) -> CubicAnalysis:
+def analyse_cubic(phi, alpha, chart: str) -> CubicAnalysis:
     """Roots of the singularity cubic phi and the eigenvalues alpha(p_i) and
     -phi'(p_i) at each, from float coefficients (highest degree first)."""
     phi_scale = max(abs(x) for x in phi)
@@ -389,9 +385,10 @@ def analyse_cubic(phi, alpha, chart: str,
         raise DiscriminantNearZero("singularity cubic vanishes identically")
     d_normalized = float(cubic_discriminant(*(c / phi_scale for c in phi)))
     d_value = float(cubic_discriminant(*phi))
-    if abs(d_normalized) < d_tol:
+    if abs(d_normalized) < DISCRIMINANT_TOL:
         raise DiscriminantNearZero(
-            f"normalized cubic discriminant {d_normalized:.3e} below {d_tol:.1e}"
+            f"normalized cubic discriminant {d_normalized:.3e} below "
+            f"{DISCRIMINANT_TOL:.1e}"
         )
 
     roots = solve_cubic_real(*phi)
@@ -406,7 +403,7 @@ def analyse_cubic(phi, alpha, chart: str,
     per_root = []
     for r in roots:
         a_val = alpha[0] * r * r + alpha[1] * r + alpha[2]
-        if abs(a_val) / alpha_scale < common_root_tol:
+        if abs(a_val) / alpha_scale < COMMON_ROOT_TOL:
             raise CommonRoot(
                 f"alpha({r:.6g}) = {a_val:.3e} vanishes; cubic and eigenvalue "
                 "quadratic share a root"
@@ -423,9 +420,7 @@ def analyse_cubic(phi, alpha, chart: str,
     )
 
 
-def cubic_analysis(eq: LiftedEquation,
-                   d_tol: float = DISCRIMINANT_TOL,
-                   common_root_tol: float = COMMON_ROOT_TOL) -> CubicAnalysis:
+def cubic_analysis(eq: LiftedEquation) -> CubicAnalysis:
     """Roots and eigen data of the singularity cubic of a Type-2 BDE.
 
     If the cubic's leading coefficient vanishes in the requested chart (a
@@ -443,7 +438,7 @@ def cubic_analysis(eq: LiftedEquation,
             )
         eq, phi = dual, dual_phi
     alpha = tuple(float(x) for x in eq.alpha_coefficients())
-    return analyse_cubic(phi, alpha, eq.chart, d_tol, common_root_tol)
+    return analyse_cubic(phi, alpha, eq.chart)
 
 
 def hessian_det_origin(delta: Poly2) -> float:
@@ -481,27 +476,28 @@ def classify_type2(analysis: CubicAnalysis, hess: float) -> TopClass:
 
 # --- restricted-field oracle helpers ---
 
-def solve_fiber_coordinate(eq: LiftedEquation, v, p, start, tol=1e-13, iters=30):
+def solve_fiber_coordinate(eq: LiftedEquation, v, p, start):
     """Solve F(., v, p) = 0 for the remaining coordinate by Newton.
 
     In chart q the surface M is a graph u = u(v, q) near a singular point
     with F_u != 0; in chart p it is a graph v = v(u, p).  Either way the
     internal row is (v, x, p) and the Newton step uses F_x.  `start` seeds
-    the iteration.  `v`, `p` and `start` may be arrays: each entry is solved
-    on its own, all in one evaluation per iteration.  Returns the solved
+    the iteration, which stops once a step is below 1e-13 or after 30
+    steps.  `v`, `p` and `start` may be arrays: each entry is solved on its
+    own, all in one evaluation per iteration.  Returns the solved
     coordinate(s).
     """
     v, x, p = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (v, start, p)))
     rows = np.stack([v.ravel(), x.ravel(), p.ravel()], axis=1)
     live = np.arange(len(rows))
-    for _ in range(iters):
+    for _ in range(30):
         f, _, df, _ = eq.bde.core.F_and_gradient(rows[live], eq.chart == CHART_Q)
         moving = df != 0.0
         step = f[moving] / df[moving]
         live = live[moving]
         rows[live, 1] -= step
-        live = live[np.abs(step) >= tol]
+        live = live[np.abs(step) >= 1e-13]
         if live.size == 0:
             break
     x = rows[:, 1].reshape(v.shape)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -96,8 +97,11 @@ def _validate_numeric(args):
     for name in ("box", "step", "seeds_per_side", "max_steps", "trials",
                  "workers", "tol"):
         value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number")
         if value is not None and value <= 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive")
+            raise ConfigError(f"{flag} must be positive")
     box = getattr(args, "box", None)
     if box is not None and box > 2.0:
         raise ConfigError("--box must be <= 2 (the normal form is local)")
@@ -121,9 +125,9 @@ def _parse_vec3(text, flag):
     try:
         parts = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise ConfigError(f"{flag} must be three comma-separated numbers")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} must be three comma-separated numbers")
+        parts = ()
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise ConfigError(f"{flag} must be three comma-separated finite numbers")
     return parts
 
 

@@ -47,7 +47,7 @@ from .errors import (
 from .geometry import _half, form_polynomials
 from .jets import EdgeJet
 
-DEFAULT_DEGREE_CAP = 6
+DEGREE_CAP = 6               # total degree kept in the BDE coefficients
 HYPOTHESIS_TOL = 1e-9
 
 
@@ -74,107 +74,103 @@ def parse_kind(name: str) -> FoliationKind:
 
 
 @lru_cache(maxsize=512)
-def build_geometric_bde(jet: EdgeJet, kind: FoliationKind,
-                        degree_cap: int = DEFAULT_DEGREE_CAP) -> BdeField:
+def build_geometric_bde(jet: EdgeJet, kind: FoliationKind) -> BdeField:
     """Assemble the v-factored BDE of the requested foliation.
 
-    Coefficients are exact polynomials truncated at total degree
-    `degree_cap`; truncation happens after the structural division by v, so
-    every retained coefficient is exact.
+    Coefficients are exact polynomials truncated at total degree DEGREE_CAP;
+    truncation happens after the structural division by v, so every
+    retained coefficient is exact.  Cached per (jet, kind): classification
+    and tracing of one jet share the one BDE.
     """
     kind = FoliationKind(kind)
     fp = form_polynomials(jet)
-    pre = degree_cap + 1
+    cap = DEGREE_CAP
+    pre = cap + 1
     E, F, G = fp.E.truncated(pre), fp.F.truncated(pre), fp.G.truncated(pre)
     L2, M2, N2 = fp.L2.truncated(pre), fp.M2.truncated(pre), fp.N2.truncated(pre)
 
     if kind is FoliationKind.ASYMPTOTIC:
-        return BdeField(N2.truncated(degree_cap), M2.truncated(degree_cap),
-                        L2.truncated(degree_cap), provenance="asymptotic")
+        return BdeField(N2.truncated(cap), M2.truncated(cap), L2.truncated(cap))
 
     if kind is FoliationKind.LINES_OF_CURVATURE:
         A = (F * N2 - G * M2).truncated(pre + 1).divide_v()
         twoB = (E * N2 - G * L2).truncated(pre).divide_v()
         C = (E * M2 - F * L2).truncated(pre).divide_v()
-        return BdeField(
-            A.truncated(degree_cap),
-            (twoB * _half(jet)).truncated(degree_cap),
-            C.truncated(degree_cap),
-            provenance="lc",
-        )
+        return BdeField(A.truncated(cap), (twoB * _half(jet)).truncated(cap),
+                        C.truncated(cap))
 
     A = (2 * M2 * (G * M2 - F * N2) - N2 * (G * L2 - E * N2)).truncated(pre).divide_v()
     B = (M2 * (G * L2 + E * N2) - 2 * F * L2 * N2).truncated(pre).divide_v()
     C = (L2 * (G * L2 - E * N2) - 2 * M2 * (F * L2 - E * M2)).truncated(pre).divide_v()
-    return BdeField(A.truncated(degree_cap), B.truncated(degree_cap),
-                    C.truncated(degree_cap), provenance="characteristic")
+    return BdeField(A.truncated(cap), B.truncated(cap), C.truncated(cap))
 
 
 # --- closed-form analysis ---
 
+# kind -> closed forms (cubic, eigenvalue quadratic, discriminant) of invariants
+_CLOSED_FORMS = {
+    FoliationKind.ASYMPTOTIC: (invariants.asymptotic_cubic,
+                               invariants.asymptotic_alpha,
+                               invariants.asymptotic_discriminant),
+    FoliationKind.CHARACTERISTIC: (invariants.characteristic_cubic,
+                                   invariants.characteristic_alpha,
+                                   invariants.characteristic_discriminant),
+}
+
+
+def _closed_form(jet: EdgeJet, kind: FoliationKind, which: int):
+    forms = _CLOSED_FORMS.get(FoliationKind(kind))
+    if forms is None:
+        raise ValueError("lines of curvature have no Type-2 cubic")
+    return forms[which](jet.a20, jet.b30, jet.b12, jet.b03)
+
+
 def closed_form_cubic(jet: EdgeJet, kind: FoliationKind):
-    kind = FoliationKind(kind)
-    if kind is FoliationKind.ASYMPTOTIC:
-        return invariants.asymptotic_cubic(jet.a20, jet.b30, jet.b12, jet.b03)
-    if kind is FoliationKind.CHARACTERISTIC:
-        return invariants.characteristic_cubic(jet.a20, jet.b30, jet.b12, jet.b03)
-    raise ValueError("lines of curvature have no Type-2 cubic")
+    return _closed_form(jet, kind, 0)
 
 
 def closed_form_alpha(jet: EdgeJet, kind: FoliationKind):
-    kind = FoliationKind(kind)
-    if kind is FoliationKind.ASYMPTOTIC:
-        return invariants.asymptotic_alpha(jet.a20, jet.b30, jet.b12, jet.b03)
-    if kind is FoliationKind.CHARACTERISTIC:
-        return invariants.characteristic_alpha(jet.a20, jet.b30, jet.b12, jet.b03)
-    raise ValueError("lines of curvature have no Type-2 cubic")
+    return _closed_form(jet, kind, 1)
 
 
 def closed_form_discriminant(jet: EdgeJet, kind: FoliationKind):
-    kind = FoliationKind(kind)
-    if kind is FoliationKind.ASYMPTOTIC:
-        return invariants.asymptotic_discriminant(jet.a20, jet.b30, jet.b12, jet.b03)
-    if kind is FoliationKind.CHARACTERISTIC:
-        return invariants.characteristic_discriminant(jet.a20, jet.b30, jet.b12, jet.b03)
-    raise ValueError("lines of curvature have no Type-2 cubic")
+    return _closed_form(jet, kind, 2)
 
 
-def hypothesis_failures(jet: EdgeJet, kind: FoliationKind,
-                        tol: float = HYPOTHESIS_TOL) -> list[str]:
+def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:
     """Which of the Type-2 classification hypotheses fail for this jet.
 
-    b20 is compared against the largest coefficient magnitude; the derived
-    quantities use tol directly (the default lines up with the sampler's
-    rejection margins, and the normalized discriminant is re-tested inside
-    the cubic analysis itself).
+    b20 is compared against HYPOTHESIS_TOL times the largest coefficient
+    magnitude; the derived quantities against HYPOTHESIS_TOL itself (it
+    lines up with the sampler's rejection margins, and the normalized
+    discriminant is re-tested inside the cubic analysis itself).
     """
     scale = max(1.0, *(abs(getattr(jet, k))
                        for k in ("a20", "b20", "b30", "b12", "b03")))
     failed = []
-    if abs(jet.b20) > tol * scale:
+    if abs(jet.b20) > HYPOTHESIS_TOL * scale:
         failed.append("b20 = 0")
     deriv = invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12)
-    if abs(deriv) <= tol:
+    if abs(deriv) <= HYPOTHESIS_TOL:
         failed.append("b30 - a20*b12 != 0")
     d = closed_form_discriminant(jet, kind)
-    if abs(d) <= tol:
+    if abs(d) <= HYPOTHESIS_TOL:
         failed.append("D != 0")
     guard = invariants.common_root_guard(jet.b30, jet.b12, jet.b03)
-    if abs(guard) <= tol:
+    if abs(guard) <= HYPOTHESIS_TOL:
         failed.append("4*b12^3 + b03^2*b30 != 0")
     return failed
 
 
-def closed_form_analysis(jet: EdgeJet, kind: FoliationKind,
-                         tol: float = HYPOTHESIS_TOL) -> CubicAnalysis:
+def closed_form_analysis(jet: EdgeJet, kind: FoliationKind) -> CubicAnalysis:
     """CubicAnalysis from the closed-form cubic/eigenvalue coefficients.
 
-    Requires b20 = 0 (within tolerance) and the remaining genericity
+    Requires b20 = 0 (within HYPOTHESIS_TOL) and the remaining genericity
     hypotheses; otherwise raises PropositionHypothesisViolated listing the
     offenders.  Root and eigen data come from the same `analyse_cubic` as the
     derivative-based path, but starting from the closed forms.
     """
-    failed = hypothesis_failures(jet, kind, tol)
+    failed = hypothesis_failures(jet, kind)
     if failed:
         raise PropositionHypothesisViolated(failed)
     phi = tuple(float(c) for c in closed_form_cubic(jet, kind))
@@ -195,7 +191,6 @@ class EdgeClassification:
     top_class: TopClass
     case: Case | None
     invariants: dict
-    convention_note: str = SIGN_CONVENTION_NOTE
     degenerate_reason: str | None = None
     analysis: CubicAnalysis | None = None
 
@@ -205,7 +200,7 @@ class EdgeClassification:
             "top_class": self.top_class.value,
             "case": self.case.value if self.case else None,
             "invariants": self.invariants,
-            "convention_note": self.convention_note,
+            "convention_note": SIGN_CONVENTION_NOTE,
         }
         if self.degenerate_reason is not None:
             out["degenerate_reason"] = self.degenerate_reason
@@ -229,8 +224,7 @@ def _jet_invariants(jet: EdgeJet) -> dict:
     }
 
 
-def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind,
-                            degree_cap: int = DEFAULT_DEGREE_CAP) -> EdgeClassification:
+def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind) -> EdgeClassification:
     """Topological class of one geometric foliation of the edge.
 
     Lines of curvature always form a transverse regular pair.  Asymptotic and
@@ -239,7 +233,7 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind,
     hypothesis failures are reported as Degenerate, never raised.
     """
     kind = FoliationKind(kind)
-    bde = build_geometric_bde(jet, kind, degree_cap)
+    bde = build_geometric_bde(jet, kind)
     inv = _jet_invariants(jet)
     try:
         delta, case = delta_and_case(bde)

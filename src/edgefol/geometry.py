@@ -30,16 +30,16 @@ def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:
         Poly2.monomial(2, 0, jet.a20 / 2)
         + Poly2.monomial(3, 0, jet.a30 / 6)
         + Poly2.monomial(0, 2, _half(jet))
-        + Poly2.monomial(4, 0) * Poly2.from_univariate(h.h1, "u")
+        + Poly2.monomial(4, 0) * Poly2.from_univariate(h.h1)
     )
     f3 = (
         Poly2.monomial(2, 0, jet.b20 / 2)
         + Poly2.monomial(3, 0, jet.b30 / 6)
         + Poly2.monomial(1, 2, jet.b12 / 2)
         + Poly2.monomial(0, 3, jet.b03 / 6)
-        + Poly2.monomial(4, 0) * Poly2.from_univariate(h.h2, "u")
-        + Poly2.monomial(2, 2) * Poly2.from_univariate(h.h3, "u")
-        + Poly2.monomial(1, 3) * Poly2.from_univariate(h.h4, "u")
+        + Poly2.monomial(4, 0) * Poly2.from_univariate(h.h2)
+        + Poly2.monomial(2, 2) * Poly2.from_univariate(h.h3)
+        + Poly2.monomial(1, 3) * Poly2.from_univariate(h.h4)
         + Poly2.monomial(0, 4) * Poly2({(i, j): c for i, j, c in h.h5})
     )
     return f1, f2, f3
@@ -181,11 +181,12 @@ def _reference_rows(jet: EdgeJet):
     ]
 
 
-def series_expansion_report(jet: EdgeJet, rel_tol: float = 1e-9) -> list[ReportRow]:
+def series_expansion_report(jet: EdgeJet) -> list[ReportRow]:
     """Compare computed Taylor coefficients of E, F, G, L2, M2, N2 against the
     reference expansions (valid for h == 0 only).
 
-    Never raises on disagreement: each row carries an agree flag.  Raises
+    Never raises on disagreement: each row carries an agree flag (error at
+    most 1e-9 of max(|reference|, |computed|, 1)).  Raises
     HigherTermsPresent when the jet has a nonzero remainder.
     """
     if not jet.higher.is_zero():
@@ -201,6 +202,6 @@ def series_expansion_report(jet: EdgeJet, rel_tol: float = 1e-9) -> list[ReportR
             monomial=f"u^{i} v^{j}",
             reference=float(ref),
             computed=comp,
-            agree=abs(comp - ref) <= rel_tol * scale,
+            agree=abs(comp - ref) <= 1e-9 * scale,
         ))
     return rows

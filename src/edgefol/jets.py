@@ -31,8 +31,8 @@ from .errors import (
 
 COEFF_KEYS = ("a20", "a30", "b20", "b30", "b12", "b03")
 HIGHER_KEYS = ("h1", "h2", "h3", "h4", "h5")
-DEFAULT_ZERO_TOL = 1e-12
-DEFAULT_HIGHER_DEGREE_CAP = 3
+ZERO_TOL = 1e-12             # |b03| at or below this is a zero cuspidal curvature
+HIGHER_DEGREE_CAP = 3        # degree cap of the higher-order terms h1..h5
 _SAMPLER_CAP = 10_000
 
 
@@ -67,9 +67,6 @@ class EdgeJet:
     b03: float
     higher: HigherTerms = field(default_factory=HigherTerms)
 
-    def coefficients(self) -> dict:
-        return {k: getattr(self, k) for k in COEFF_KEYS}
-
 
 def _check_finite(name, value):
     try:
@@ -80,12 +77,13 @@ def _check_finite(name, value):
         raise NonFinite(f"coefficient {name} is not a finite number: {value!r}")
 
 
-def _parse_univariate(name, raw, degree_cap):
+def _parse_univariate(name, raw):
     if not isinstance(raw, (list, tuple)):
         raise JetFormatError(f"{name} must be an array of ascending coefficients")
-    if len(raw) > degree_cap + 1:
+    if len(raw) > HIGHER_DEGREE_CAP + 1:
         raise JetFormatError(
-            f"{name} exceeds the degree cap {degree_cap} (got {len(raw)} coefficients)"
+            f"{name} exceeds the degree cap {HIGHER_DEGREE_CAP} "
+            f"(got {len(raw)} coefficients)"
         )
     for k, c in enumerate(raw):
         _check_finite(f"{name}[{k}]", c)
@@ -95,32 +93,42 @@ def _parse_univariate(name, raw, degree_cap):
     return coeffs
 
 
-def _parse_bivariate(name, raw, degree_cap):
+def _exponent(name, k):
+    try:
+        if int(k) == k and k >= 0:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise JetFormatError(f"{name} exponents must be nonnegative integers")
+
+
+def _parse_bivariate(name, raw):
     if not isinstance(raw, (list, tuple)):
         raise JetFormatError(f"{name} must be an array of [i, j, c] monomial triples")
     out = []
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise JetFormatError(f"{name} entries must be [i, j, c] triples")
-        i, j, c = entry
-        if int(i) != i or int(j) != j or int(i) < 0 or int(j) < 0:
-            raise JetFormatError(f"{name} exponents must be nonnegative integers")
-        if int(i) + int(j) > degree_cap:
-            raise JetFormatError(f"{name} exceeds the total degree cap {degree_cap}")
+        i, j, c = _exponent(name, entry[0]), _exponent(name, entry[1]), entry[2]
+        if i + j > HIGHER_DEGREE_CAP:
+            raise JetFormatError(
+                f"{name} exceeds the total degree cap {HIGHER_DEGREE_CAP}")
         _check_finite(f"{name}[{i},{j}]", c)
         if float(c) != 0.0:
-            out.append((int(i), int(j), float(c)))
+            out.append((i, j, float(c)))
     out.sort()
     return tuple(out)
 
 
-def validate_jet(raw, *, zero_tol: float = DEFAULT_ZERO_TOL,
-                 higher_degree_cap: int = DEFAULT_HIGHER_DEGREE_CAP) -> EdgeJet:
+def validate_jet(raw) -> EdgeJet:
     """Validate a raw coefficient record and return an EdgeJet.
 
-    Raises ZeroCuspidalCurvature when |b03| <= zero_tol,
-    NegativeLimitingNormalCurvature when b20 < 0, NonFinite on NaN/inf input,
-    and JetFormatError on unknown keys or malformed higher-term arrays.
+    Raises ZeroCuspidalCurvature when |b03| <= ZERO_TOL,
+    NegativeLimitingNormalCurvature when b20 < 0, NonFinite on NaN/inf
+    input, and JetFormatError on unknown or missing keys and on malformed
+    higher-term arrays: h1..h4 longer than HIGHER_DEGREE_CAP + 1
+    coefficients, h5 triples of total degree above HIGHER_DEGREE_CAP, or
+    h5 exponents that are not nonnegative integers.
     """
     if not isinstance(raw, dict):
         raise JetFormatError("jet record must be a mapping")
@@ -136,19 +144,16 @@ def validate_jet(raw, *, zero_tol: float = DEFAULT_ZERO_TOL,
         _check_finite(k, raw[k])
         vals[k] = float(raw[k])
 
-    if abs(vals["b03"]) <= zero_tol:
+    if abs(vals["b03"]) <= ZERO_TOL:
         raise ZeroCuspidalCurvature(
-            f"|b03| = {abs(vals['b03'])!r} is within the zero tolerance {zero_tol}"
+            f"|b03| = {abs(vals['b03'])!r} is within the zero tolerance {ZERO_TOL}"
         )
     if vals["b20"] < 0:
         raise NegativeLimitingNormalCurvature(f"b20 = {vals['b20']!r} < 0")
 
     higher = HigherTerms(
-        h1=_parse_univariate("h1", raw.get("h1", ()), higher_degree_cap),
-        h2=_parse_univariate("h2", raw.get("h2", ()), higher_degree_cap),
-        h3=_parse_univariate("h3", raw.get("h3", ()), higher_degree_cap),
-        h4=_parse_univariate("h4", raw.get("h4", ()), higher_degree_cap),
-        h5=_parse_bivariate("h5", raw.get("h5", ()), higher_degree_cap),
+        *(_parse_univariate(k, raw.get(k, ())) for k in HIGHER_KEYS[:4]),
+        _parse_bivariate("h5", raw.get("h5", ())),
     )
     return EdgeJet(vals["a20"], vals["a30"], vals["b20"], vals["b30"],
                    vals["b12"], vals["b03"], higher)
@@ -158,17 +163,10 @@ def validate_jet(raw, *, zero_tol: float = DEFAULT_ZERO_TOL,
 
 def jet_to_dict(jet: EdgeJet) -> dict:
     out = {k: getattr(jet, k) for k in COEFF_KEYS}
-    h = jet.higher
-    if h.h1:
-        out["h1"] = list(h.h1)
-    if h.h2:
-        out["h2"] = list(h.h2)
-    if h.h3:
-        out["h3"] = list(h.h3)
-    if h.h4:
-        out["h4"] = list(h.h4)
-    if h.h5:
-        out["h5"] = [list(t) for t in h.h5]
+    for k in HIGHER_KEYS:
+        terms = getattr(jet.higher, k)
+        if terms:
+            out[k] = [list(t) for t in terms] if k == "h5" else list(terms)
     return out
 
 
@@ -176,8 +174,13 @@ def dump_jet(jet: EdgeJet) -> str:
     return json.dumps(jet_to_dict(jet), indent=2, sort_keys=True)
 
 
-def load_jet(text_or_path, **kwargs) -> EdgeJet:
-    """Parse a jet from JSON text or from a file path."""
+def load_jet(text_or_path) -> EdgeJet:
+    """Parse a jet from JSON text, a file path or a `pathlib.Path`.
+
+    Text whose first non-blank character is "{" is JSON; any other string
+    names a file.  Invalid JSON raises JetFormatError, and the record is
+    checked by `validate_jet`.
+    """
     text = text_or_path
     if hasattr(text_or_path, "read_text"):
         text = text_or_path.read_text()
@@ -188,7 +191,7 @@ def load_jet(text_or_path, **kwargs) -> EdgeJet:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise JetFormatError(f"invalid JSON: {exc}") from exc
-    return validate_jet(raw, **kwargs)
+    return validate_jet(raw)
 
 
 # --- sampling ---

@@ -37,11 +37,9 @@ class Poly2:
         return cls({(i, j): c})
 
     @classmethod
-    def from_univariate(cls, coeffs, var="u"):
-        """Polynomial in a single variable, coefficients in ascending degree."""
-        if var == "u":
-            return cls({(k, 0): c for k, c in enumerate(coeffs)})
-        return cls({(0, k): c for k, c in enumerate(coeffs)})
+    def from_univariate(cls, coeffs):
+        """Polynomial in u alone, coefficients in ascending degree."""
+        return cls({(k, 0): c for k, c in enumerate(coeffs)})
 
     # --- algebra ---
 
@@ -139,9 +137,6 @@ class Poly2:
 
     def coeff(self, i, j):
         return self.terms.get((i, j), 0)
-
-    def degree(self):
-        return max((i + j for (i, j) in self.terms), default=0)
 
     def max_abs(self):
         return max((abs(c) for c in self.terms.values()), default=0)

@@ -426,28 +426,28 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
     return curves, warnings, continuations
 
 
-def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig(),
-                   analysis: CubicAnalysis | None = None) -> Portrait:
+def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portrait:
     """Phase portrait of a BDE.
 
     Seeds a uniform grid on each box side (one seed per direction branch),
-    adds four separatrix seeds per lifted saddle, traces everything in
-    batched RK4, and extracts the discriminant locus by marching squares.
-    Failed seeds are dropped and counted in `warnings`.  A discriminant
-    too degenerate for the case split leaves `case` None (one warning):
-    tracing and the locus do not need it.
+    adds four separatrix seeds per lifted saddle of the chart-q cubic
+    analysis (Case 3 only), traces everything in batched RK4, and extracts
+    the discriminant locus by marching squares.  Failed seeds are dropped
+    and counted in `warnings`.  A discriminant too degenerate for the case
+    split leaves `case` None (one warning): tracing and the locus do not
+    need it.
     """
     warnings = 0
+    analysis = None
     try:
         delta, case = delta_and_case(bde)
     except DegenerateDiscriminant:
         delta, case = discriminant_poly(bde), None
         warnings += 1
-    if case is Case.CASE3 and analysis is None:
+    if case is Case.CASE3:
         try:
             analysis = cubic_analysis(lift(bde, CHART_Q))
         except EdgefolError:
-            analysis = None
             warnings += 1
 
     worklist = []
@@ -573,10 +573,9 @@ class SurfaceCurve:
     domain: np.ndarray | None = None
 
 
-def project_to_surface(jet: EdgeJet, portrait: Portrait,
-                       edge_samples: int = 301) -> list:
+def project_to_surface(jet: EdgeJet, portrait: Portrait) -> list:
     """Map every portrait curve through the parametrization; the singular
-    edge curve f(u, 0) is always included."""
+    edge curve f(u, 0) is always included, at 301 points."""
     f1, f2, f3 = surface_polynomials(jet)
     cset = CompiledPolySet([f1, f2, f3])
 
@@ -595,7 +594,7 @@ def project_to_surface(jet: EdgeJet, portrait: Portrait,
     for line in portrait.discriminant_locus:
         out.append(SurfaceCurve(points=image(line), kind="discriminant",
                                 domain=line))
-    us = np.linspace(-portrait.box, portrait.box, edge_samples)
+    us = np.linspace(-portrait.box, portrait.box, 301)
     edge_dom = np.stack([us, np.zeros_like(us)], axis=1)
     out.append(SurfaceCurve(points=image(edge_dom), kind="edge",
                             domain=edge_dom))
@@ -616,7 +615,7 @@ INDEPENDENCE_TOL = 1e-3
 MIN_WINDOW = 25
 
 
-def _independent(vectors, tol=INDEPENDENCE_TOL):
+def _independent(vectors):
     rows = []
     for vec in vectors:
         n = np.linalg.norm(vec)
@@ -624,19 +623,18 @@ def _independent(vectors, tol=INDEPENDENCE_TOL):
             return False
         rows.append(vec / n)
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return bool(np.all(sv[1:] / sv[:-1] > tol)) if len(sv) > 1 else True
+    return bool(np.all(sv[1:] / sv[:-1] > INDEPENDENCE_TOL)) if len(sv) > 1 else True
 
 
 def detect_cusp_order(points, t=None, t0: float = 0.0,
-                      window: int | None = None,
-                      vanish_tol: float = VANISH_TOL,
-                      independence_tol: float = INDEPENDENCE_TOL) -> CuspClass:
+                      window: int | None = None) -> CuspClass:
     """Classify the local singularity of a sampled curve at parameter t0.
 
     A degree-5 least-squares fit per coordinate over a centered window gives
-    the derivative vectors; vanishing is tested against the window scale and
-    independence by singular-value ratios.  Recognizes ordinary (2,3)-cusps
-    and the two space-cusp orders (3,4) and (3,4,5).
+    the derivative vectors; a vector vanishes when its norm, relative to the
+    window scale, is below VANISH_TOL, and vectors are independent when
+    every singular-value ratio exceeds INDEPENDENCE_TOL.  Recognizes
+    ordinary (2,3)-cusps and the two space-cusp orders (3,4) and (3,4,5).
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
@@ -669,18 +667,17 @@ def detect_cusp_order(points, t=None, t0: float = 0.0,
     # scaled derivative vectors: d_k = k! c_k, dimensionless
     fact = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0]
     d = [fact[k] * coef[k] for k in range(6)]
-    vanish = [np.linalg.norm(dk) < vanish_tol for dk in d]
+    vanish = [np.linalg.norm(dk) < VANISH_TOL for dk in d]
 
     if not vanish[1]:
         return CuspClass.NO_CUSP
     if not vanish[2]:
-        if not vanish[3] and _independent([d[2], d[3]], independence_tol):
+        if not vanish[3] and _independent([d[2], d[3]]):
             return CuspClass.CUSP_23
         return CuspClass.NO_CUSP
-    if vanish[3] or vanish[4] or not _independent([d[3], d[4]], independence_tol):
+    if vanish[3] or vanish[4] or not _independent([d[3], d[4]]):
         return CuspClass.NO_CUSP
-    if dim == 2 or vanish[5] or not _independent([d[3], d[4], d[5]],
-                                                 independence_tol):
+    if dim == 2 or vanish[5] or not _independent([d[3], d[4], d[5]]):
         return CuspClass.CUSP_34
     return CuspClass.CUSP_345
 

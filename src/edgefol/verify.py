@@ -11,6 +11,7 @@ count or scheduling.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,7 +56,6 @@ class SuiteResult:
     trials: int
     failures: int
     worst: float = 0.0
-    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -235,6 +235,9 @@ _SUITES = (
 
 
 def _run_trials(fn, args_list, workers: int):
+    """fn over args_list in order; the pool (started whole at the first
+    submit) never outnumbers the trials or the CPUs."""
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))

@@ -61,6 +61,31 @@ def test_config_errors_exit_2(jet_file, capsys):
                  "--foliation", "lc"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--box", "nan"],
+    ["trace", "--box", "inf"],
+    ["trace", "--step", "inf"],
+    ["trace", "--step", "nan"],
+    ["render", "--camera", "nan,0,1"],
+    ["render", "--up", "0,inf,1"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "inf"],
+])
+def test_non_finite_numbers_exit_2(jet_file, tmp_path, capsys, argv):
+    command, *flags = argv
+    if command == "verify":
+        argv = [command, "--trials", "1", *flags]
+    else:
+        out = tmp_path / ("p.svg" if command == "render" else "p.csv")
+        argv = [command, "--jet", jet_file(SADDLE_JET), "--foliation",
+                "asymptotic", "--seeds-per-side", "2", "--max-steps", "10",
+                "--out", str(out), *flags]
+    assert main(["--json", *argv]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "ConfigError"
+    assert "finite" in error["message"]
+
+
 def test_invalid_jet_exits_1_with_json_error(jet_file, capsys):
     path = jet_file({**CUSP_JET, "b03": 0.0})
     rc = main(["--json", "classify", "--jet", path, "--foliation", "lc"])
@@ -68,6 +93,15 @@ def test_invalid_jet_exits_1_with_json_error(jet_file, capsys):
     assert rc == 1
     assert out["error"] == "ZeroCuspidalCurvature"
     assert "message" in out
+
+
+def test_bad_h5_exponent_exits_1_with_json_error(jet_file, capsys):
+    path = jet_file({**CUSP_JET, "h5": [[None, 0, 1.0]]})
+    rc = main(["--json", "classify", "--jet", path, "--foliation", "lc"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out == {"error": "JetFormatError",
+                   "message": "h5 exponents must be nonnegative integers"}
 
 
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
@@ -121,6 +155,40 @@ def test_verify_report_bytes_pinned(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == (
         "5e773540a9ba3b3440316d3fcb3c82df703b09af1f42df8cdefc9d26f5df8154")
+
+
+@pytest.mark.parametrize("workers, trials, cpus, pool", [
+    (64, 2, 8, 2),        # no more processes than trials
+    (64, 10, 3, 3),       # nor than CPUs
+    (2, 10, 8, 2),
+    (64, 1, 8, None),     # one trial runs in-process
+    (8, 10, 1, None),     # so does a one-CPU machine
+])
+def test_trial_pool_is_bounded(monkeypatch, workers, trials, cpus, pool):
+    from edgefol import verify
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    args = [(0, i) for i in range(trials)]
+    assert verify._run_trials(verify._survey_trial, args, workers) \
+        == [verify._survey_trial(a) for a in args]
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_survey_deterministic_and_reports_frequencies(capsys):

@@ -281,6 +281,33 @@ def test_closed_form_analysis_error_lists_failures():
     assert "b30 - a20*b12 != 0" in info.value.failed
 
 
+@pytest.mark.parametrize("closed_form", [
+    closed_form_cubic, closed_form_alpha, closed_form_discriminant])
+def test_closed_forms_refuse_lines_of_curvature(closed_form):
+    jet = EdgeJet(0.0, 0.0, 0.0, -1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="no Type-2 cubic"):
+        closed_form(jet, FoliationKind.LINES_OF_CURVATURE)
+
+
+def test_classify_and_build_share_one_cache_entry(monkeypatch):
+    # classification and tracing of one jet must assemble its BDE once
+    from edgefol import foliations
+    seen = []
+
+    def recording_delta_and_case(bde):
+        seen.append(bde)
+        return delta_and_case(bde)
+
+    monkeypatch.setattr(foliations, "delta_and_case", recording_delta_and_case)
+    jet = sample_generic_jet(9, "edge_degenerate")
+    build_geometric_bde.cache_clear()
+    classify_edge_foliation(jet, FoliationKind.ASYMPTOTIC)
+    bde = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
+    info = build_geometric_bde.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert seen == [bde] and seen[0] is bde
+
+
 def test_hypothesis_guard_example():
     jet = EdgeJet(0.0, 0.0, 0.0, -1.0, 1.0, 1.0)
     assert 4 * jet.b12**3 + jet.b03**2 * jet.b30 == 3.0

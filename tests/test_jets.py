@@ -70,6 +70,15 @@ def test_higher_terms_parse_and_cap():
         validate_jet({**BASE, "h5": [[1, 2]]})
 
 
+@pytest.mark.parametrize("exponent", [None, "1", [1], float("nan"),
+                                      float("inf"), 1.5, -1])
+def test_bad_h5_exponent_is_a_format_error(exponent):
+    with pytest.raises(JetFormatError, match="nonnegative integers"):
+        validate_jet({**BASE, "h5": [[exponent, 0, 1.0]]})
+    with pytest.raises(JetFormatError, match="nonnegative integers"):
+        validate_jet({**BASE, "h5": [[0, exponent, 1.0]]})
+
+
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
