@@ -13,10 +13,12 @@ The lifted field on the surface M = {F = 0} is, per chart,
 
 both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
-chart-p equation of the u/v swapped tensor, so one compiled evaluator,
-`_ChartCore`, computes F, grad F and xi for both charts: the tracer's RK4
-loop, the fiber Newton solve and the differenced Jacobian all read it.  A
-`BdeField` owns its evaluator (`BdeField.core`), compiled once on first use.
+chart-p equation of the u/v swapped tensor.  That chart rule lives here
+alone: `DUAL` names the other chart, `LiftedEquation` reads either chart's
+cubic off that chart's tensor, and one compiled evaluator, `_ChartCore`,
+computes F, grad F and xi for both charts: the tracer's RK4 loop, the fiber
+Newton solve and the differenced Jacobian all read it.  A `BdeField` owns
+its evaluator (`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -164,6 +166,7 @@ def delta_and_case(bde: BdeField):
 
 CHART_P = "p"
 CHART_Q = "q"
+DUAL = {CHART_P: CHART_Q, CHART_Q: CHART_P}   # the other affine chart
 
 
 class _ChartCore:
@@ -250,33 +253,28 @@ class LiftedEquation:
     chart: str = CHART_Q
 
     def __post_init__(self):
-        if self.chart not in (CHART_P, CHART_Q):
+        if self.chart not in DUAL:
             raise ValueError(f"unknown chart {self.chart!r}")
 
     def dual(self) -> "LiftedEquation":
-        return LiftedEquation(self.bde, CHART_P if self.chart == CHART_Q else CHART_Q)
+        return LiftedEquation(self.bde, DUAL[self.chart])
 
     def origin_jet(self):
-        """First-order data (au, bu, cu, av, bv, cv) at the origin."""
-        au, bu, cu = (float(q.diff("u").coeff(0, 0))
-                      for q in (self.bde.A, self.bde.B, self.bde.C))
-        av, bv, cv = (float(q.diff("v").coeff(0, 0))
-                      for q in (self.bde.A, self.bde.B, self.bde.C))
-        return au, bu, cu, av, bv, cv
+        """First-order data (au, bu, cu, av, bv, cv) at the origin of the
+        chart's tensor: (A, B, C) in chart q, its u/v swap in chart p."""
+        work = self.bde if self.chart == CHART_Q else self.bde.swapped()
+        return tuple(float(f.coeff(*ij)) for ij in ((1, 0), (0, 1))
+                     for f in (work.A, work.B, work.C))
 
     def phi_coefficients(self):
         """(c3, c2, c1, c0) of the singularity cubic in this chart."""
         au, bu, cu, av, bv, cv = self.origin_jet()
-        if self.chart == CHART_Q:
-            return (cu, cv + 2 * bu, 2 * bv + au, av)
-        return (av, au + 2 * bv, 2 * bu + cv, cu)
+        return (cu, cv + 2 * bu, 2 * bv + au, av)
 
     def alpha_coefficients(self):
         """(a2, a1, a0) of the transverse-eigenvalue quadratic."""
         au, bu, cu, av, bv, cv = self.origin_jet()
-        if self.chart == CHART_Q:
-            return (2 * cu, 2 * (bu + cv), 2 * bv)
-        return (2 * av, 2 * (au + bv), 2 * bu)
+        return (2 * cu, 2 * (bu + cv), 2 * bv)
 
 
 def lift(bde: BdeField, chart: str = CHART_Q) -> LiftedEquation:
@@ -427,18 +425,16 @@ def cubic_analysis(eq: LiftedEquation) -> CubicAnalysis:
     direction at infinity), the dual chart is analyzed instead and the result
     reported there; the two charts cover the projective direction line.
     """
-    phi = tuple(float(x) for x in eq.phi_coefficients())
+    phi = eq.phi_coefficients()
     phi_scale = max(abs(x) for x in phi)
     if phi_scale != 0.0 and abs(phi[0]) <= 1e-12 * phi_scale:
-        dual = eq.dual()
-        dual_phi = tuple(float(x) for x in dual.phi_coefficients())
-        if abs(dual_phi[0]) <= 1e-12 * max(abs(x) for x in dual_phi):
+        eq = eq.dual()
+        phi = eq.phi_coefficients()
+        if abs(phi[0]) <= 1e-12 * max(abs(x) for x in phi):
             raise DiscriminantNearZero(
                 "cubic leading coefficient vanishes in both charts"
             )
-        eq, phi = dual, dual_phi
-    alpha = tuple(float(x) for x in eq.alpha_coefficients())
-    return analyse_cubic(phi, alpha, eq.chart)
+    return analyse_cubic(phi, eq.alpha_coefficients(), eq.chart)
 
 
 def hessian_det_origin(delta: Poly2) -> float:
@@ -542,15 +538,3 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
         return np.column_stack([(d[0] - d[1]) / (2 * hb), (d[2] - d[3]) / (2 * hc)])
 
     return (4.0 * central(2) - central(1)) / 3.0
-
-
-# --- serialization ---
-
-def per_root_to_dict(r: RootData) -> dict:
-    return {
-        "root": r.root,
-        "alpha": r.alpha,
-        "minus_phi_prime": r.minus_phi_prime,
-        "eigen_product": r.eigen_product,
-        "lifted_type": r.lifted_type,
-    }

@@ -19,7 +19,7 @@ vanish point governed by a cubic with closed-form coefficients in the jet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -35,7 +35,6 @@ from .bde import (
     classify_type2,
     delta_and_case,
     hessian_det_origin,
-    per_root_to_dict,
 )
 from .errors import (
     CommonRoot,
@@ -84,25 +83,21 @@ def build_geometric_bde(jet: EdgeJet, kind: FoliationKind) -> BdeField:
     """
     kind = FoliationKind(kind)
     fp = form_polynomials(jet)
-    cap = DEGREE_CAP
-    pre = cap + 1
-    E, F, G = fp.E.truncated(pre), fp.F.truncated(pre), fp.G.truncated(pre)
-    L2, M2, N2 = fp.L2.truncated(pre), fp.M2.truncated(pre), fp.N2.truncated(pre)
-
     if kind is FoliationKind.ASYMPTOTIC:
-        return BdeField(N2.truncated(cap), M2.truncated(cap), L2.truncated(cap))
+        return BdeField(*(f.truncated(DEGREE_CAP) for f in (fp.N2, fp.M2, fp.L2)))
+    pre = DEGREE_CAP + 1
+    E, F, G, L2, M2, N2 = (f.truncated(pre)
+                           for f in (fp.E, fp.F, fp.G, fp.L2, fp.M2, fp.N2))
+
+    def over_v(poly):
+        return poly.truncated(pre).divide_v()
 
     if kind is FoliationKind.LINES_OF_CURVATURE:
-        A = (F * N2 - G * M2).truncated(pre + 1).divide_v()
-        twoB = (E * N2 - G * L2).truncated(pre).divide_v()
-        C = (E * M2 - F * L2).truncated(pre).divide_v()
-        return BdeField(A.truncated(cap), (twoB * _half(jet)).truncated(cap),
-                        C.truncated(cap))
-
-    A = (2 * M2 * (G * M2 - F * N2) - N2 * (G * L2 - E * N2)).truncated(pre).divide_v()
-    B = (M2 * (G * L2 + E * N2) - 2 * F * L2 * N2).truncated(pre).divide_v()
-    C = (L2 * (G * L2 - E * N2) - 2 * M2 * (F * L2 - E * M2)).truncated(pre).divide_v()
-    return BdeField(A.truncated(cap), B.truncated(cap), C.truncated(cap))
+        return BdeField(over_v(F * N2 - G * M2),
+                        over_v(E * N2 - G * L2) * _half(jet), over_v(E * M2 - F * L2))
+    return BdeField(over_v(2 * M2 * (G * M2 - F * N2) - N2 * (G * L2 - E * N2)),
+                    over_v(M2 * (G * L2 + E * N2) - 2 * F * L2 * N2),
+                    over_v(L2 * (G * L2 - E * N2) - 2 * M2 * (F * L2 - E * M2)))
 
 
 # --- closed-form analysis ---
@@ -206,7 +201,7 @@ class EdgeClassification:
             out["degenerate_reason"] = self.degenerate_reason
         if self.analysis is not None:
             out["roots"] = list(self.analysis.roots)
-            out["per_root"] = [per_root_to_dict(r) for r in self.analysis.per_root]
+            out["per_root"] = [asdict(r) for r in self.analysis.per_root]
         return out
 
     def to_json(self) -> str:

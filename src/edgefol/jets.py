@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,13 +69,22 @@ class EdgeJet:
     higher: HigherTerms = field(default_factory=HigherTerms)
 
 
-def _check_finite(name, value):
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false are ints to Python,
+    and float() would also take a JSON string)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_float(name, value) -> float:
+    if not _is_number(value):
+        raise JetFormatError(f"coefficient {name} is not a number: {value!r}")
     try:
-        ok = math.isfinite(float(value))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+        out = float(value)
+    except OverflowError:        # an integer too large for a float
+        out = math.inf
+    if not math.isfinite(out):
         raise NonFinite(f"coefficient {name} is not a finite number: {value!r}")
+    return out
 
 
 def _parse_univariate(name, raw):
@@ -85,9 +95,7 @@ def _parse_univariate(name, raw):
             f"{name} exceeds the degree cap {HIGHER_DEGREE_CAP} "
             f"(got {len(raw)} coefficients)"
         )
-    for k, c in enumerate(raw):
-        _check_finite(f"{name}[{k}]", c)
-    coeffs = tuple(float(c) for c in raw)
+    coeffs = tuple(_finite_float(f"{name}[{k}]", c) for k, c in enumerate(raw))
     while coeffs and coeffs[-1] == 0.0:
         coeffs = coeffs[:-1]
     return coeffs
@@ -95,9 +103,9 @@ def _parse_univariate(name, raw):
 
 def _exponent(name, k):
     try:
-        if int(k) == k and k >= 0:
+        if _is_number(k) and int(k) == k and k >= 0:
             return int(k)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     raise JetFormatError(f"{name} exponents must be nonnegative integers")
 
@@ -113,9 +121,9 @@ def _parse_bivariate(name, raw):
         if i + j > HIGHER_DEGREE_CAP:
             raise JetFormatError(
                 f"{name} exceeds the total degree cap {HIGHER_DEGREE_CAP}")
-        _check_finite(f"{name}[{i},{j}]", c)
-        if float(c) != 0.0:
-            out.append((i, j, float(c)))
+        c = _finite_float(f"{name}[{i},{j}]", c)
+        if c != 0.0:
+            out.append((i, j, c))
     out.sort()
     return tuple(out)
 
@@ -125,8 +133,9 @@ def validate_jet(raw) -> EdgeJet:
 
     Raises ZeroCuspidalCurvature when |b03| <= ZERO_TOL,
     NegativeLimitingNormalCurvature when b20 < 0, NonFinite on NaN/inf
-    input, and JetFormatError on unknown or missing keys and on malformed
-    higher-term arrays: h1..h4 longer than HIGHER_DEGREE_CAP + 1
+    input, and JetFormatError on unknown or missing keys, on coefficients
+    that are not real numbers (strings and booleans included), and on
+    malformed higher-term arrays: h1..h4 longer than HIGHER_DEGREE_CAP + 1
     coefficients, h5 triples of total degree above HIGHER_DEGREE_CAP, or
     h5 exponents that are not nonnegative integers.
     """
@@ -139,10 +148,7 @@ def validate_jet(raw) -> EdgeJet:
     if missing:
         raise JetFormatError(f"missing coefficients: {missing}")
 
-    vals = {}
-    for k in COEFF_KEYS:
-        _check_finite(k, raw[k])
-        vals[k] = float(raw[k])
+    vals = {k: _finite_float(k, raw[k]) for k in COEFF_KEYS}
 
     if abs(vals["b03"]) <= ZERO_TOL:
         raise ZeroCuspidalCurvature(

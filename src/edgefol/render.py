@@ -90,6 +90,28 @@ def _polyline(points_xy, *, color, width, dashed=False, cls="curve") -> str:
             f'stroke-width="{_fmt(width)}"{dash} points="{pts}" />')
 
 
+def _kinds(style: RenderStyle, scale: float) -> dict:
+    """`_polyline` arguments per curve kind; `scale` is units per pixel."""
+    return {
+        "curve": dict(color=style.curve_color, width=style.curve_width * scale),
+        "separatrix": dict(color=style.separatrix_color,
+                           width=style.separatrix_width * scale, dashed=True),
+        "discriminant": dict(color=style.discriminant_color,
+                             width=style.discriminant_width * scale),
+        "edge": dict(color=style.edge_color, width=style.edge_width * scale),
+    }
+
+
+def _document(style: RenderStyle, viewbox, comment: str, body) -> str:
+    """An SVG 1.1 document: header, comment, body elements and footer."""
+    header = (
+        f'<svg xmlns="{SVG_NS}" version="1.1" '
+        f'width="{style.size_px}" height="{style.size_px}" '
+        f'viewBox="{" ".join(_fmt(x) for x in viewbox)}">'
+    )
+    return "\n".join([header, f"<!-- {comment} -->", *body, "</svg>"]) + "\n"
+
+
 def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
                     top_class: str | None = None) -> str:
     """Render the domain phase portrait to an SVG 1.1 document.
@@ -102,31 +124,13 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
     if not portrait.curves:
         raise EmptyPortrait("portrait contains no curves")
     b = portrait.box
-    header = (
-        f'<svg xmlns="{SVG_NS}" version="1.1" '
-        f'width="{style.size_px}" height="{style.size_px}" '
-        f'viewBox="{_fmt(-b)} {_fmt(-b)} {_fmt(2 * b)} {_fmt(2 * b)}">'
-    )
-    parts = [header]
-    tag = top_class if top_class is not None else "unclassified"
-    case = portrait.case.value if portrait.case is not None else "unknown"
-    parts.append(f"<!-- top_class: {tag} | case: {case} -->")
     scale = 2.0 * b / style.size_px   # stroke widths given in pixels
-
-    for line in portrait.discriminant_locus:
-        parts.append(_polyline(
-            line, color=style.discriminant_color,
-            width=style.discriminant_width * scale, cls="discriminant"))
+    kinds = _kinds(style, scale)
+    parts = [_polyline(line, cls="discriminant", **kinds["discriminant"])
+             for line in portrait.discriminant_locus]
     for curve in portrait.curves:
-        if curve.is_separatrix:
-            parts.append(_polyline(
-                curve.projected, color=style.separatrix_color,
-                width=style.separatrix_width * scale, dashed=True,
-                cls="separatrix"))
-        else:
-            parts.append(_polyline(
-                curve.projected, color=style.curve_color,
-                width=style.curve_width * scale, cls="curve"))
+        kind = "separatrix" if curve.is_separatrix else "curve"
+        parts.append(_polyline(curve.projected, cls=kind, **kinds[kind]))
 
     tick = 6.0 * style.marker_radius * scale
     for value, lifted_type in portrait.singular_points:
@@ -145,8 +149,10 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
             f'r="{_fmt(style.marker_radius * scale)}" '
             f'fill="{style.marker_color}"><title>{lifted_type}</title></circle>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    tag = top_class if top_class is not None else "unclassified"
+    case = portrait.case.value if portrait.case is not None else "unknown"
+    return _document(style, (-b, -b, 2 * b, 2 * b),
+                     f"top_class: {tag} | case: {case}", parts)
 
 
 def surface_view_to_svg(curves3d: list, style: RenderStyle = RenderStyle()) -> str:
@@ -175,26 +181,10 @@ def surface_view_to_svg(curves3d: list, style: RenderStyle = RenderStyle()) -> s
     pad = 0.05 * span
     x0, y0 = lo[0] - pad, -(hi[1] + pad)
     side = span + 2 * pad
-    scale = side / style.size_px
-
-    header = (
-        f'<svg xmlns="{SVG_NS}" version="1.1" '
-        f'width="{style.size_px}" height="{style.size_px}" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(side)} {_fmt(side)}">'
-    )
-    parts = [header, "<!-- surface view -->"]
-    styles = {
-        "curve": (style.curve_color, style.curve_width, False),
-        "separatrix": (style.separatrix_color, style.separatrix_width, True),
-        "discriminant": (style.discriminant_color, style.discriminant_width, False),
-        "edge": (style.edge_color, style.edge_width, False),
-    }
-    for _, xy, kind in projected:
-        color, width, dashed = styles.get(kind, styles["curve"])
-        parts.append(_polyline(xy, color=color, width=width * scale,
-                               dashed=dashed, cls=kind))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    kinds = _kinds(style, side / style.size_px)
+    body = [_polyline(xy, cls=kind, **kinds.get(kind, kinds["curve"]))
+            for _, xy, kind in projected]
+    return _document(style, (x0, y0, side, side), "surface view", body)
 
 
 def curves_to_csv(portrait: Portrait, jet: EdgeJet | None = None) -> str:

@@ -6,10 +6,12 @@ on-surface residual is pure roundoff; a periodic Newton projection in p mops
 that up.  The field comes from the compiled evaluator `bde._ChartCore`,
 which serves both charts (the chart-q field of (A, B, C) equals the
 chart-p field of the u<->v swapped tensor); every function here that has
-the BDE reads it as `bde.core`, compiled once per BDE.  Every batch row
-carries its own chart, step and stops: a request integrates its charts,
-time directions and probed roots as one batch.  A recorded batch logs the
-samples each step takes and assembles one path per row at the end.
+the BDE reads it as `bde.core`, compiled once per BDE.  Seeds and chart
+continuations are internal rows: (u, v, p) in chart p, (v, u, q) in chart
+q.  Every batch row carries its own chart, step and stops: a request
+integrates its charts, time directions and probed roots as one batch.  A
+recorded batch logs the samples each step takes and assembles one path per
+row at the end.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -29,6 +31,7 @@ from .bde import (
     BdeField,
     CHART_P,
     CHART_Q,
+    DUAL,
     Case,
     CubicAnalysis,
     NODE,
@@ -337,63 +340,58 @@ def direction_roots(bde: BdeField, u: float, v: float):
         return []
     if b * b - a * c < 0.0:
         return []
-    dirs = []
     if abs(a) >= abs(c) and a != 0.0:
-        for p in solve_quadratic(a, 2.0 * b, c):
-            dirs.append((1.0, p))
+        dirs = [(CHART_P, p) for p in solve_quadratic(a, 2.0 * b, c)]
     elif c != 0.0:
-        for s in solve_quadratic(c, 2.0 * b, a):
-            dirs.append((s, 1.0))
+        dirs = [(CHART_Q, q) for q in solve_quadratic(c, 2.0 * b, a)]
     else:
-        dirs = [(1.0, 0.0), (0.0, 1.0)]
-    seeds = []
-    for du, dv in dirs:
-        if abs(dv) <= abs(du):
-            seeds.append((CHART_P, dv / du))
-        else:
-            seeds.append((CHART_Q, du / dv))
-    return sorted(set(seeds))
+        dirs = [(CHART_P, 0.0), (CHART_Q, 0.0)]
+    # a direction whose value exceeds 1 in magnitude is read in the dual
+    # chart, and one at exactly 1 in chart p
+    return sorted({(chart, x) if abs(x) < 1.0 or (abs(x) == 1.0 and chart == CHART_P)
+                   else (DUAL[chart], 1.0 / x) for chart, x in dirs})
+
+
+def _seeds_on_M(eq, root: float, dw, dp) -> np.ndarray:
+    """Internal rows (dw, w, root + dp) with w solved onto M, started at
+    root * dw."""
+    p = root + dp
+    return np.column_stack([dw, solve_fiber_coordinate(eq, dw, p, start=root * dw), p])
 
 
 def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
-    """Four seeds per saddle: +-SEPARATRIX_OFFSET along each eigenvector of
-    the lifted linearization, pushed back onto M by a Newton solve."""
+    """Four internal rows per saddle: +-SEPARATRIX_OFFSET along each
+    eigenvector of the lifted linearization, pushed back onto M by one
+    Newton solve; a graph offset below 1e-14 stays on the fiber."""
     eq = lift(bde, analysis.chart)
     seeds = []
     for data in analysis.per_root:
         if data.lifted_type != SADDLE:
             continue
-        jac = restricted_jacobian(eq, data.root)
-        _, eigvecs = np.linalg.eig(jac)
-        for col in range(2):
-            vec = np.real(eigvecs[:, col])
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                continue
-            vec = vec / norm
-            for sign in (+1.0, -1.0):
-                dv, dp = sign * SEPARATRIX_OFFSET * vec
-                p = data.root + dp
-                if abs(dv) < 1e-14:
-                    seeds.append((analysis.chart, (0.0, 0.0, p)))
-                    continue
-                w = solve_fiber_coordinate(eq, dv, p, start=data.root * dv)
-                state = (w, dv, p) if eq.chart == CHART_Q else (dv, w, p)
-                seeds.append((eq.chart, state))
+        _, eigvecs = np.linalg.eig(restricted_jacobian(eq, data.root))
+        # one norm per eigenvector: a batched norm can differ in the last bit
+        dw, dp = np.reshape([sign * SEPARATRIX_OFFSET * (vec / np.linalg.norm(vec))
+                             for vec in np.real(eigvecs).T if np.linalg.norm(vec) != 0.0
+                             for sign in (+1.0, -1.0)], (-1, 2)).T
+        rows = _seeds_on_M(eq, data.root, dw, dp)
+        rows[np.abs(dw) < 1e-14, :2] = 0.0
+        seeds += rows.tolist()
     return seeds
 
 
 def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
                     singular_by_chart):
-    """Integrate (chart, state, is_separatrix) seeds both ways in one batch.
+    """Integrate (chart, internal state, is_separatrix) seeds both ways in
+    one batch.
 
     Returns the curves in worklist order, the number of seeds dropped as off
     M, and the chart-breakdown continuations: chart-p seeds first, each
-    chart in worklist order, backward before forward."""
+    chart in worklist order, backward before forward.  The internal row
+    (w, x, p) continues as the dual chart's row (x, w, 1/p)."""
     core = bde.core
     entries = sorted(enumerate(worklist), key=lambda e: e[1][0])
     q = np.array([chart == CHART_Q for _, (chart, _, _) in entries], dtype=bool)
-    states = _swap_uv(np.reshape([e[1][1] for e in entries], (-1, 3)), q)
+    states = np.array([e[1][1] for e in entries], dtype=float).reshape(-1, 3)
     resid = np.abs(core.residual(states, q))
     ok = resid <= SEED_RESIDUAL_TOL * max(1.0, bde.coefficient_scale())
     warnings = int(np.sum(~ok))
@@ -414,14 +412,12 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
             is_separatrix=is_sep))
         for r in (row, n + row):
             if run.status[r] == TERM_CHART:
-                state = _swap_uv(run.final[r], chart == CHART_Q)[0]
+                w, x, p = run.final[r]
                 # the exceptional fiber projects to a point: nothing to
                 # continue there
-                on_fiber = max(abs(state[0]), abs(state[1])) < 1e-12
-                if abs(state[2]) > 0 and not on_fiber:
-                    dual = CHART_P if chart == CHART_Q else CHART_Q
-                    continuations.append(
-                        (dual, (state[0], state[1], 1.0 / state[2]), is_sep))
+                on_fiber = max(abs(w), abs(x)) < 1e-12
+                if abs(p) > 0 and not on_fiber:
+                    continuations.append((DUAL[chart], (x, w, 1.0 / p), is_sep))
     curves.sort(key=lambda c: c.seed_index)
     return curves, warnings, continuations
 
@@ -459,7 +455,8 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
     for u, v in sides:
         for chart, value in direction_roots(bde, u, v):
             if abs(value) <= config.chart_bound:
-                worklist.append((chart, (u, v, value), False))
+                w, x = (u, v) if chart == CHART_P else (v, u)
+                worklist.append((chart, (w, x, value), False))
 
     singular_points = ()
     singular_by_chart = {}
@@ -467,11 +464,11 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
         singular_points = tuple((r.root, r.lifted_type) for r in analysis.per_root)
         roots = [r.root for r in analysis.per_root]
         singular_by_chart[analysis.chart] = tuple(roots)
-        dual = CHART_P if analysis.chart == CHART_Q else CHART_Q
-        singular_by_chart[dual] = tuple(1.0 / r for r in roots if r != 0.0)
+        singular_by_chart[DUAL[analysis.chart]] = tuple(
+            1.0 / r for r in roots if r != 0.0)
         try:
-            for chart, state in _separatrix_seeds(bde, analysis):
-                worklist.append((chart, state, True))
+            for state in _separatrix_seeds(bde, analysis):
+                worklist.append((analysis.chart, state, True))
         except EdgefolError:
             warnings += 1
 
@@ -757,7 +754,7 @@ def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
     root = analysis.roots[root_index]
     chart = analysis.chart
     if abs(root) > 1.0:
-        chart = CHART_P if chart == CHART_Q else CHART_Q
+        chart = DUAL[chart]
         root = 1.0 / root
         others = [1.0 / r for r in analysis.roots if r != analysis.roots[root_index]
                   and r != 0.0]
@@ -810,9 +807,7 @@ def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
 
     dw, dp = np.array([basis @ (rho * math.cos(psi), rho * math.sin(psi))
                        for psi in angles]).T
-    p = root + dp
-    w = solve_fiber_coordinate(eq, dw, p, start=root * dw)
-    internal = np.column_stack([dw, w, p])   # internal coordinates of either chart
+    internal = _seeds_on_M(eq, root, dw, dp)
     resid = np.abs(bde.core.residual(internal, chart == CHART_Q))
     keep = resid <= 1e-9 * max(1.0, bde.coefficient_scale())
     weak_index = int(np.argmin(np.abs(np.real(eigvals))))

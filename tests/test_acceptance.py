@@ -193,7 +193,7 @@ def test_criterion_6_sector_counts_match_classifier():
 def _edge_crossing_image_class(jet, kind):
     bde = build_geometric_bde(jet, kind)
     (curve,), _, _ = _trace_worklist(
-        bde, [(CHART_Q, (0.12, 0.0, 0.0), False)],
+        bde, [(CHART_Q, (0.0, 0.12, 0.0), False)],
         TraceConfig(box=0.5, step=2e-4, max_steps=1500), {CHART_Q: ()})
     cset = CompiledPolySet(list(surface_polynomials(jet)))
     image = np.stack(cset.values(curve.samples[:, 0], curve.samples[:, 1]),

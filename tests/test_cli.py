@@ -104,6 +104,15 @@ def test_bad_h5_exponent_exits_1_with_json_error(jet_file, capsys):
                    "message": "h5 exponents must be nonnegative integers"}
 
 
+def test_quoted_coefficient_exits_1_with_json_error(jet_file, capsys):
+    path = jet_file({**SADDLE_JET, "b30": "0.1", "b03": True})
+    rc = main(["--json", "classify", "--jet", path, "--foliation", "asymptotic"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out == {"error": "JetFormatError",
+                   "message": "coefficient b30 is not a number: '0.1'"}
+
+
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(["trace", "--jet", jet_file(SADDLE_JET), "--foliation",

@@ -1,7 +1,9 @@
 """Jet validation, file round-trips, and the rejection sampler."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,41 @@ def test_bad_h5_exponent_is_a_format_error(exponent):
         validate_jet({**BASE, "h5": [[exponent, 0, 1.0]]})
     with pytest.raises(JetFormatError, match="nonnegative integers"):
         validate_jet({**BASE, "h5": [[0, exponent, 1.0]]})
+
+
+@pytest.mark.parametrize("record", [
+    {**BASE, "a20": "1.5"},
+    {**BASE, "a30": True},
+    {**BASE, "b03": False},
+    {**BASE, "b30": "0.1", "b03": True},
+    {**BASE, "h1": ["2", False]},
+    {**BASE, "h4": [0.5, True]},
+    {**BASE, "h5": [[1, 1, "0.5"]]},
+    {**BASE, "h5": [[1, 1, True]]},
+])
+def test_strings_and_booleans_are_not_numbers(record):
+    with pytest.raises(JetFormatError, match="is not a number"):
+        validate_jet(record)
+
+
+@pytest.mark.parametrize("exponent", [True, False])
+def test_boolean_h5_exponent_is_a_format_error(exponent):
+    with pytest.raises(JetFormatError, match="nonnegative integers"):
+        validate_jet({**BASE, "h5": [[exponent, 1, 1.0]]})
+    with pytest.raises(JetFormatError, match="nonnegative integers"):
+        validate_jet({**BASE, "h5": [[1, exponent, 1.0]]})
+
+
+def test_int_float_fraction_and_numpy_reals_accepted():
+    jet = validate_jet({
+        **BASE, "a20": Fraction(1, 2), "a30": np.float32(0.25),
+        "b30": np.int64(2), "b12": 3, "b03": np.float64(1.5),
+        "h1": [Fraction(1, 4), np.float64(1.0)],
+        "h5": [[np.int64(1), 2.0, Fraction(1, 8)]],
+    })
+    assert (jet.a20, jet.a30, jet.b30, jet.b12, jet.b03) == (0.5, 0.25, 2.0, 3.0, 1.5)
+    assert jet.higher.h1 == (0.25, 1.0)
+    assert jet.higher.h5 == ((1, 2, 0.125),)
 
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)

@@ -10,9 +10,9 @@ from edgefol import render
 from edgefol.errors import EmptyPortrait
 from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.geometry import surface_polynomials
-from edgefol.jets import EdgeJet
+from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
-from edgefol.bde import BdeField
+from edgefol.bde import CHART_P, CHART_Q, BdeField, cubic_analysis, lift
 from edgefol.render import (
     RenderStyle,
     curves_to_csv,
@@ -244,3 +244,27 @@ def test_three_saddles_output_bytes_pinned(three_saddles_portrait):
         "871b2bcd0eaf9aa5b9f7fea3e78320b065d2921733cfc02e5bb6e07472a4b6ce")
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "e086fe9865d1fe41f3adc9fd8b3a7150359bb3292857adb149cf3835c34aecde")
+
+
+def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
+    # two paths the three-saddles pin does not take: a chart-breakdown
+    # continuation in the dual chart, and separatrix seeds in chart p (the
+    # chart-q cubic of this Case-3 BDE has C_u = 0, so its leading
+    # coefficient vanishes and the analysis falls back to chart p)
+    config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)
+    jet = sample_generic_jet(4)
+    portrait = trace_portrait(
+        build_geometric_bde(jet, FoliationKind.CHARACTERISTIC), config)
+    assert sum(c.seed_index == -1 for c in portrait.curves) == 1
+    assert hashlib.sha256(curves_to_csv(portrait, jet).encode()).hexdigest() == (
+        "bede67edde58160fe1989736f954f55721d86280dd2be34e67ca8daa3121516b")
+
+    u, v = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    field = BdeField(-u - v + u * v, 2 * u - v, v + u * u)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    assert (analysis.chart, analysis.saddle_count()) == (CHART_P, 3)
+    portrait = trace_portrait(field, TraceConfig(box=0.15, seeds_per_side=8,
+                                                 max_steps=300))
+    assert {c.chart for c in portrait.separatrices} == {CHART_P}
+    assert hashlib.sha256(curves_to_csv(portrait).encode()).hexdigest() == (
+        "0181a17e59e388299c81db7de5edd0fe317abcee7623fd36c5613b5e28011918")

@@ -483,7 +483,7 @@ def test_composition_through_null_cusp_is_34():
 
 def _edge_crossing_curve(jet, kind, u0=0.12, step=2e-4, max_steps=3000):
     (curve,), _, _ = _trace_seed(build_geometric_bde(jet, kind), CHART_Q,
-                                 (u0, 0.0, 0.0), step, max_steps)
+                                 (0.0, u0, 0.0), step, max_steps)
     return curve
 
 
