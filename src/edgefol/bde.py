@@ -13,12 +13,14 @@ The lifted field on the surface M = {F = 0} is, per chart,
 
 both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
-chart-p equation of the u/v swapped tensor.  That chart rule lives here
-alone: `DUAL` names the other chart, `LiftedEquation` reads either chart's
-cubic off that chart's tensor, and one compiled evaluator, `_ChartCore`,
-computes F, grad F and xi for both charts: the tracer's RK4 loop, the fiber
-Newton solve and the differenced Jacobian all read it.  A `BdeField` owns
-its evaluator (`BdeField.core`), compiled once on first use.
+chart-p equation of the u/v swapped tensor: a relabelling, which `SWAP_UV`
+applies to the nine values of (A, B, C) and their first derivatives.  That
+chart rule lives here alone: `DUAL` names the other chart, `LiftedEquation`
+reads either chart's cubic through `SWAP_UV`, and one compiled evaluator,
+`_ChartCore`, computes F, grad F and xi for both charts from those nine
+polynomials: the tracer's RK4 loop, the fiber Newton solve and the
+differenced Jacobian all read it.  A `BdeField` owns its evaluator
+(`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -102,11 +104,6 @@ class BdeField:
             float(self.C.coeff(0, 0)),
         )
 
-    def swapped(self) -> "BdeField":
-        """The same direction field written with u and v exchanged."""
-        swap = lambda p: Poly2({(j, i): c for (i, j), c in p.terms.items()})
-        return BdeField(swap(self.C), swap(self.B), swap(self.A))
-
     @cached_property
     def core(self) -> _ChartCore:
         """The compiled lifted field, built once per BDE on first use."""
@@ -127,7 +124,7 @@ def unique_direction_at_origin(bde: BdeField):
 
 
 def delta_and_case(bde: BdeField):
-    """Discriminant polynomial and origin case of a BDE.
+    """2-jet of delta = B^2 - A*C (all that classify reads) and origin case.
 
     Zero tests are scale-free: coefficients are normalized by the largest
     coefficient magnitude before comparing against CASE_TOL.
@@ -135,7 +132,10 @@ def delta_and_case(bde: BdeField):
     scale = bde.coefficient_scale()
     if scale == 0.0:
         raise ValueError("zero BDE")
-    delta = discriminant_poly(bde)
+    if not math.isfinite(scale):
+        raise OverflowError("BDE coefficients overflow the float range")
+    jet2 = BdeField(*(f.truncated(2) for f in (bde.A, bde.B, bde.C)))
+    delta = discriminant_poly(jet2).truncated(2)
     a0, b0, c0 = bde.origin_values()
     if max(abs(a0), abs(b0), abs(c0)) <= scale * CASE_TOL:
         return delta, Case.CASE3
@@ -167,6 +167,7 @@ def delta_and_case(bde: BdeField):
 CHART_P = "p"
 CHART_Q = "q"
 DUAL = {CHART_P: CHART_Q, CHART_Q: CHART_P}   # the other affine chart
+SWAP_UV = [2, 1, 0, 8, 7, 6, 5, 4, 3]   # the nine values of the u/v swap
 
 
 class _ChartCore:
@@ -177,21 +178,20 @@ class _ChartCore:
     `BdeField.core` that compiles it once per BDE.  State rows are
     internal coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in
     chart q, since the chart-q equation of (A, B, C) is the chart-p equation
-    of the u/v swapped tensor.  Each row reads its chart's nine values
-    (mask `q`).
+    of the u/v swapped tensor.  The nine polynomials (A, B, C, A_u, .., C_v)
+    are evaluated at each row's public (u, v); chart-q rows (mask `q`) read
+    them through `SWAP_UV`.
     """
 
     def __init__(self, bde: BdeField):
-        self.cset = CompiledPolySet([
-            poly for work in (bde, bde.swapped())
-            for poly in (work.A, work.B, work.C,
-                         work.A.diff("u"), work.B.diff("u"), work.C.diff("u"),
-                         work.A.diff("v"), work.B.diff("v"), work.C.diff("v"))
-        ])
+        abc = [bde.A, bde.B, bde.C]
+        self.cset = CompiledPolySet(
+            abc + [f.diff(var) for var in ("u", "v") for f in abc])
 
     def _values(self, S, q):
-        vals = self.cset.values(S[:, 0], S[:, 1])
-        return np.where(q, vals[9:], vals[:9])
+        vals = self.cset.values(np.where(q, S[:, 1], S[:, 0]),
+                                np.where(q, S[:, 0], S[:, 1]))
+        return np.where(q, vals[SWAP_UV], vals)
 
     @staticmethod
     def _F(vals, p):
@@ -261,10 +261,12 @@ class LiftedEquation:
 
     def origin_jet(self):
         """First-order data (au, bu, cu, av, bv, cv) at the origin of the
-        chart's tensor: (A, B, C) in chart q, its u/v swap in chart p."""
-        work = self.bde if self.chart == CHART_Q else self.bde.swapped()
-        return tuple(float(f.coeff(*ij)) for ij in ((1, 0), (0, 1))
-                     for f in (work.A, work.B, work.C))
+        chart's tensor: (A, B, C) in chart q, through `SWAP_UV` in chart p."""
+        vals = [float(f.coeff(*ij)) for ij in ((0, 0), (1, 0), (0, 1))
+                for f in (self.bde.A, self.bde.B, self.bde.C)]
+        if self.chart == CHART_P:
+            vals = [vals[k] for k in SWAP_UV]
+        return tuple(vals[3:])
 
     def phi_coefficients(self):
         """(c3, c2, c1, c0) of the singularity cubic in this chart."""

@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error(args, exc)
         return 2
-    except (EdgefolError, OSError, ValueError) as exc:
+    except (EdgefolError, OSError, ValueError, ArithmeticError) as exc:
         _emit_error(args, exc)
         return 2 if isinstance(exc, (OSError, ValueError)) else 1
     except KeyboardInterrupt:  # pragma: no cover

@@ -209,27 +209,32 @@ class EdgeClassification:
         return json.dumps(self.to_dict(), indent=2, default=float)
 
 
-def _jet_invariants(jet: EdgeJet) -> dict:
-    return {
-        "b20": jet.b20,
-        "b30_minus_a20_b12": float(
-            invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12)),
-        "common_root_guard": float(
-            invariants.common_root_guard(jet.b30, jet.b12, jet.b03)),
-    }
-
-
 def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind) -> EdgeClassification:
     """Topological class of one geometric foliation of the edge.
 
     Lines of curvature always form a transverse regular pair.  Asymptotic and
     characteristic equations give a cusp family when b20 != 0 and one of the
     five Type-2 portraits when b20 = 0 under the genericity hypotheses;
-    hypothesis failures are reported as Degenerate, never raised.
+    hypothesis failures, and jets whose float arithmetic overflows, are
+    reported as Degenerate, never raised.  An overflow leaves out the
+    invariants it stopped and the case.
     """
     kind = FoliationKind(kind)
+    inv = {}
+    try:
+        return _classify(jet, kind, inv)
+    except OverflowError as exc:
+        return EdgeClassification(kind, TopClass.DEGENERATE, None, inv,
+                                  degenerate_reason=f"{type(exc).__name__}: {exc}")
+
+
+def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassification:
     bde = build_geometric_bde(jet, kind)
-    inv = _jet_invariants(jet)
+    inv["b20"] = jet.b20   # filled in turn: an overflow keeps earlier entries
+    inv["b30_minus_a20_b12"] = float(
+        invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12))
+    inv["common_root_guard"] = float(
+        invariants.common_root_guard(jet.b30, jet.b12, jet.b03))
     try:
         delta, case = delta_and_case(bde)
     except DegenerateDiscriminant as exc:

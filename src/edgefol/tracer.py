@@ -4,9 +4,9 @@ Curves are integrated in ambient (u, v, p) with classical fixed-step RK4 on
 the lifted field, which is exactly tangent to every level set of F, so the
 on-surface residual is pure roundoff; a periodic Newton projection in p mops
 that up.  The field comes from the compiled evaluator `bde._ChartCore`,
-which serves both charts (the chart-q field of (A, B, C) equals the
-chart-p field of the u<->v swapped tensor); every function here that has
-the BDE reads it as `bde.core`, compiled once per BDE.  Seeds and chart
+which serves both charts from the nine compiled values of (A, B, C), read
+through one permutation in chart q; every function here that has the BDE
+reads it as `bde.core`, compiled once per BDE.  Seeds and chart
 continuations are internal rows: (u, v, p) in chart p, (v, u, q) in chart
 q.  Every batch row carries its own chart, step and stops: a request
 integrates its charts, time directions and probed roots as one batch.  A
@@ -428,17 +428,17 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
     Seeds a uniform grid on each box side (one seed per direction branch),
     adds four separatrix seeds per lifted saddle of the chart-q cubic
     analysis (Case 3 only), traces everything in batched RK4, and extracts
-    the discriminant locus by marching squares.  Failed seeds are dropped
-    and counted in `warnings`.  A discriminant too degenerate for the case
-    split leaves `case` None (one warning): tracing and the locus do not
-    need it.
+    the locus of the full discriminant by marching squares.  Failed seeds
+    are dropped and counted in `warnings`.  A discriminant too degenerate
+    for the case split leaves `case` None (one warning): tracing and the
+    locus do not need it.
     """
     warnings = 0
     analysis = None
+    delta, case = discriminant_poly(bde), None
     try:
-        delta, case = delta_and_case(bde)
+        case = delta_and_case(bde)[1]
     except DegenerateDiscriminant:
-        delta, case = discriminant_poly(bde), None
         warnings += 1
     if case is Case.CASE3:
         try:

@@ -1,6 +1,7 @@
 """BDE engine: case split, lift, cubic analysis."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +130,49 @@ def test_lifted_field_tangency_identity():
             dot = grad[0] * xi[0] + grad[1] * xi[1] + grad[2] * xi[2]
             scale = 1.0 + np.linalg.norm(grad) * np.linalg.norm(xi)
             assert abs(dot) / scale < 1e-13
+
+
+EXACT_JET = EdgeJet(Fraction(1, 3), Fraction(-2, 5), Fraction(0),
+                    Fraction(1, 7), Fraction(-1), Fraction(3, 2))
+
+
+def _swap_tensor(field):
+    """The u/v swap of a BDE, built independently of the compiled core."""
+    swap = lambda f: Poly2({(j, i): c for (i, j), c in f.terms.items()})
+    return BdeField(swap(field.C), swap(field.B), swap(field.A))
+
+
+def test_chart_q_is_chart_p_of_the_swapped_tensor():
+    """Chart-q rows of a mixed-chart batch, and the chart-p origin jet, are
+    those of the u/v-swapped tensor in the other chart."""
+    rng = np.random.default_rng(10)
+    fields = [build_geometric_bde(sample_generic_jet(seed, scenario), kind)
+              for seed in range(20) for scenario in ("generic", "edge_degenerate")
+              for kind in FoliationKind]
+    for field in fields:
+        swapped = _swap_tensor(field)
+        S = rng.uniform(-0.5, 0.5, (64, 3)) * (1.0, 1.0, 10.0)
+        q = rng.random(64) < 0.5
+        pairs = [(field.core.rhs(S, q), swapped.core.rhs(S, False))]
+        pairs += zip(field.core.F_and_gradient(S, q),
+                     swapped.core.F_and_gradient(S, False))
+        for got, want in pairs:
+            got, want = got[q], want[q]
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    fields += [build_geometric_bde(EXACT_JET, kind) for kind in FoliationKind]
+    for field in fields:
+        assert lift(field, CHART_P).origin_jet() \
+            == lift(_swap_tensor(field), CHART_Q).origin_jet()
+
+
+def test_delta_and_case_returns_the_discriminant_2jet():
+    jets = [sample_generic_jet(seed, scenario) for seed in range(200)
+            for scenario in ("generic", "edge_degenerate")] + [EXACT_JET]
+    for jet in jets:
+        for kind in FoliationKind:
+            field = build_geometric_bde(jet, kind)
+            delta = delta_and_case(field)[0]
+            assert delta == discriminant_poly(field).truncated(2)
 
 
 def test_solve_fiber_coordinate_lands_on_surface():

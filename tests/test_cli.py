@@ -113,6 +113,19 @@ def test_quoted_coefficient_exits_1_with_json_error(jet_file, capsys):
                    "message": "coefficient b30 is not a number: '0.1'"}
 
 
+def test_overflowing_jet_classifies_degenerate_and_trace_exits_1(
+        jet_file, tmp_path, capsys):
+    path = jet_file({**SADDLE_JET, "a20": 1e200})
+    rc = main(["--json", "classify", "--jet", path, "--foliation", "asymptotic"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["top_class"] == "Degenerate"
+    rc = main(["--json", "trace", "--jet", path, "--foliation", "asymptotic",
+               "--box", "0.15", "--seeds-per-side", "8", "--max-steps", "120",
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "OverflowError"
+
+
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(["trace", "--jet", jet_file(SADDLE_JET), "--foliation",

@@ -32,7 +32,7 @@ from edgefol.foliations import (
     parse_kind,
 )
 from edgefol.invariants import cubic_discriminant
-from edgefol.jets import EdgeJet, sample_generic_jet
+from edgefol.jets import EdgeJet, sample_generic_jet, validate_jet
 
 KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
 
@@ -355,6 +355,25 @@ def test_fraction_classification_serializes_exact_values_as_numbers():
         data = json.loads(cls.to_json())
         assert data["invariants"]["b20"] == 0.0
         assert data["top_class"] == cls.top_class.value
+
+
+OVERFLOW_JETS = (
+    {"a20": 1e200, "a30": 0, "b20": 0, "b30": 0.1, "b12": -1, "b03": 1},
+    {"a20": 0, "a30": 0, "b20": 0, "b30": 0.1, "b12": 1e150, "b03": 1},
+)
+
+
+@pytest.mark.parametrize("record", OVERFLOW_JETS)
+@pytest.mark.parametrize("kind", tuple(FoliationKind))
+def test_overflowing_jet_is_degenerate_not_raised(record, kind):
+    cls = classify_edge_foliation(validate_jet(record), kind)
+    assert cls.top_class is TopClass.DEGENERATE
+    assert cls.degenerate_reason.startswith("OverflowError")
+    data = json.loads(cls.to_json())
+    assert data["top_class"] == "Degenerate"
+    # an invariant the overflow stopped is left out, never written as inf
+    assert all(math.isfinite(value) for value in data["invariants"].values())
+    assert ("common_root_guard" in data["invariants"]) == (record["b12"] == -1)
 
 
 def test_classifier_agrees_between_closed_form_and_derivative_routes():
