@@ -15,12 +15,13 @@ both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
 chart-p equation of the u/v swapped tensor: a relabelling, which `SWAP_UV`
 applies to the nine values of (A, B, C) and their first derivatives.  That
-chart rule lives here alone: `DUAL` names the other chart, `LiftedEquation`
+chart rule lives here alone: `DUAL` names the other chart,
+`CubicAnalysis.roots_in` reads the singular roots there, `LiftedEquation`
 reads either chart's cubic through `SWAP_UV`, and one compiled evaluator,
 `_ChartCore`, computes F, grad F and xi for both charts from those nine
-polynomials: the tracer's RK4 loop, the fiber Newton solve and the
-differenced Jacobian all read it.  A `BdeField` owns its evaluator
-(`BdeField.core`), compiled once on first use.
+polynomials: the tracer's RK4 loop, the fiber Newton solve, the
+differenced Jacobian and the tangency oracle of `verify` all read it.  A
+`BdeField` owns its evaluator (`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -173,14 +174,15 @@ SWAP_UV = [2, 1, 0, 8, 7, 6, 5, 4, 3]   # the nine values of the u/v swap
 class _ChartCore:
     """The compiled lifted field of a BDE in both charts.
 
-    It is the one evaluator of F, grad F and xi: the integrator, the fiber
-    Newton solve and the differenced Jacobian all read it, through the
-    `BdeField.core` that compiles it once per BDE.  State rows are
-    internal coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in
-    chart q, since the chart-q equation of (A, B, C) is the chart-p equation
-    of the u/v swapped tensor.  The nine polynomials (A, B, C, A_u, .., C_v)
-    are evaluated at each row's public (u, v); chart-q rows (mask `q`) read
-    them through `SWAP_UV`.
+    It is the one evaluator of F, grad F and xi (`xi` is the field's one
+    formula): the integrator, the fiber Newton solve, the differenced
+    Jacobian and the tangency oracle all read it, through the
+    `BdeField.core` that compiles it once per BDE.  State rows are internal
+    coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q,
+    since the chart-q equation of (A, B, C) is the chart-p equation of the
+    u/v swapped tensor.  The nine polynomials (A, B, C, A_u, .., C_v) are
+    evaluated at each row's public (u, v); chart-q rows (mask `q`) read them
+    through `SWAP_UV`.
     """
 
     def __init__(self, bde: BdeField):
@@ -210,15 +212,17 @@ class _ChartCore:
         vals, p = self._values(S, q), S[:, 2]
         return (self._F(vals, p), *self._gradient(vals, p))
 
+    @staticmethod
+    def xi(p, Fu, Fv, Fp):
+        """The lifted field (F_p, p F_p, -(F_u + p F_v)), a row per p."""
+        out = np.empty((len(p), 3))
+        out[:, 0], out[:, 1], out[:, 2] = Fp, p * Fp, -(Fu + p * Fv)
+        return out
+
     def rhs(self, S, q, normalize=False):
-        """xi = (F_p, p F_p, -(F_u + p F_v)) per internal row, scaled to
-        unit length if `normalize`."""
+        """`xi` per internal row, scaled to unit length if `normalize`."""
         p = S[:, 2]
-        Fu, Fv, Fp = self._gradient(self._values(S, q), p)
-        out = np.empty_like(S)
-        out[:, 0] = Fp
-        out[:, 1] = p * Fp
-        out[:, 2] = -(Fu + p * Fv)
+        out = self.xi(p, *self._gradient(self._values(S, q), p))
         if normalize:
             norms = np.sqrt(np.einsum("ij,ij->i", out, out))
             out /= (norms + 1e-300)[:, None]
@@ -376,6 +380,12 @@ class CubicAnalysis:
     def saddle_count(self) -> int:
         return sum(1 for r in self.per_root if r.lifted_type == SADDLE)
 
+    def roots_in(self, chart: str) -> tuple:
+        """The roots in `chart`: in the dual chart their reciprocals, with a
+        zero root (vertical there) left out."""
+        return self.roots if chart == self.chart else tuple(
+            1.0 / r for r in self.roots if r != 0.0)
+
 
 def analyse_cubic(phi, alpha, chart: str) -> CubicAnalysis:
     """Roots of the singularity cubic phi and the eigenvalues alpha(p_i) and
@@ -532,7 +542,7 @@ def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.
         raise FiberNotConverged(
             f"difference point off M: |F| = {worst:.3e} exceeds {bound:.1e}")
     # the (w, p) components of xi, from the same evaluation as F
-    xi = np.column_stack([Fp, -(Fu + p * Fv)])
+    xi = _ChartCore.xi(p, Fu, Fv, Fp)[:, [0, 2]]
 
     def central(k):
         d = xi[4 * (k - 1):4 * k]

@@ -67,6 +67,7 @@ TERM_BOX = "box_exit"
 TERM_CAP = "step_cap"
 TERM_SINGULAR = "singular_point"
 TERM_CHART = "chart_breakdown"
+TERM_NONFINITE = "non_finite"
 TERM_LANDED = "landed"
 TERM_EXITED = "exited"
 
@@ -77,7 +78,7 @@ class TraceConfig:
     step: float = 1e-3
     max_steps: int = 6000
     seeds_per_side: int = 24
-    chart_bound: float = CHART_BOUND
+    chart_bound = CHART_BOUND    # not a field: every batch reads CHART_BOUND
 
 
 @dataclass
@@ -145,13 +146,14 @@ def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
 
 def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
                      box=None, singular=None, singular_stop=SINGULAR_STOP,
-                     chart_bound=CHART_BOUND, ball=None):
+                     ball=None):
     """Fixed-step RK4 on the lifted field for a batch of internal states.
 
-    Each row has its own chart (`q`), signed `step` and stopping tests: box
-    exit on the base coordinates, proximity to its chart's singular points
-    (0, 0, p_i) (`singular` maps chart -> p_i), chart-variable blowup, and
-    optionally land/exit radii of `ball = (center, land, exit, transform)`
+    Each row has its own chart (`q`), signed `step` and stopping tests: a
+    non-finite step (the field overflowed), box exit on the base
+    coordinates, proximity to its chart's singular points (0, 0, p_i)
+    (`singular` maps chart -> p_i), chart-variable blowup past CHART_BOUND,
+    and optionally land/exit radii of `ball = (center, land, exit, transform)`
     measured in the surface-graph coordinates (first base coordinate, chart
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
@@ -217,9 +219,10 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
             part = nxt[rows]
             _newton_p(core, part, qa[rows])
             nxt[rows] = part
+        nonfinite = ~np.all(np.isfinite(nxt), axis=1)
         wild = (
-            ~np.all(np.isfinite(nxt), axis=1)
-            | (np.abs(nxt[:, 2]) > chart_bound)
+            nonfinite
+            | (np.abs(nxt[:, 2]) > CHART_BOUND)
             | (move[:, 2] > np.maximum(r["wild_move"],
                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
             | (np.maximum(move[:, 0], move[:, 1]) > r["cap"])
@@ -235,7 +238,7 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
         if log is not None:
             log.append((active, at, nxt, wild))
 
-        stops = [(wild, TERM_CHART)]
+        stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART)]
         if box is not None:
             stops.append((np.abs(nxt[:, :2]).max(axis=1) > box, TERM_BOX))
         if sing.size:
@@ -379,6 +382,8 @@ def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
     return seeds
 
 
+# overflow shows as dropped seeds and TERM_NONFINITE rows, not numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
                     singular_by_chart):
     """Integrate (chart, internal state, is_separatrix) seeds both ways in
@@ -402,7 +407,6 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
         core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
         step=np.repeat([-config.step, config.step], n),
         max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
-        chart_bound=config.chart_bound,
     )
     curves, continuations = [], []
     for row, (index, (chart, _state, is_sep)) in enumerate(entries):
@@ -431,7 +435,8 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
     the locus of the full discriminant by marching squares.  Failed seeds
     are dropped and counted in `warnings`.  A discriminant too degenerate
     for the case split leaves `case` None (one warning): tracing and the
-    locus do not need it.
+    locus do not need it.  A field that overflows in the first step of
+    every seed raises OverflowError, as an infinite coefficient does.
     """
     warnings = 0
     analysis = None
@@ -454,18 +459,14 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
              + [(-b, float(t)) for t in offsets] + [(b, float(t)) for t in offsets])
     for u, v in sides:
         for chart, value in direction_roots(bde, u, v):
-            if abs(value) <= config.chart_bound:
-                w, x = (u, v) if chart == CHART_P else (v, u)
-                worklist.append((chart, (w, x, value), False))
+            w, x = (u, v) if chart == CHART_P else (v, u)
+            worklist.append((chart, (w, x, value), False))
 
     singular_points = ()
     singular_by_chart = {}
     if analysis is not None:
         singular_points = tuple((r.root, r.lifted_type) for r in analysis.per_root)
-        roots = [r.root for r in analysis.per_root]
-        singular_by_chart[analysis.chart] = tuple(roots)
-        singular_by_chart[DUAL[analysis.chart]] = tuple(
-            1.0 / r for r in roots if r != 0.0)
+        singular_by_chart = {chart: analysis.roots_in(chart) for chart in DUAL}
         try:
             for state in _separatrix_seeds(bde, analysis):
                 worklist.append((analysis.chart, state, True))
@@ -474,6 +475,9 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
 
     curves, warn2, continuations = _trace_worklist(
         bde, worklist, config, singular_by_chart)
+    if {(len(c), c.termination, c.termination_backward) for c in curves} \
+            == {(1, TERM_NONFINITE, TERM_NONFINITE)}:   # no row took a step
+        raise OverflowError("the lifted field overflows at every seed")
     warnings += warn2
     if continuations:
         more, warn3, _ = _trace_worklist(bde, continuations, config,
@@ -724,18 +728,18 @@ class SectorCount:
     direction: two landing fans, one on each side.
     """
 
-    sectors: int | None
     pattern: str                 # saddle | node | ambiguous
     landings_forward: int
     landings_backward: int
     exits_both: int
     probes: int
 
+    @property
+    def sectors(self) -> int | None:
+        return {SADDLE: 4, NODE: 2}.get(self.pattern)
+
     def matches(self, lifted_type: str) -> bool:
-        return (self.pattern == SADDLE and lifted_type == SADDLE
-                and self.sectors == 4) or \
-               (self.pattern == NODE and lifted_type == NODE
-                and self.sectors == 2)
+        return self.pattern == lifted_type
 
 
 class _ProbeCircle(NamedTuple):
@@ -751,16 +755,11 @@ class _ProbeCircle(NamedTuple):
 
 def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
                   root_index: int) -> _ProbeCircle:
-    root = analysis.roots[root_index]
-    chart = analysis.chart
+    root, chart = analysis.roots[root_index], analysis.chart
     if abs(root) > 1.0:
-        chart = DUAL[chart]
-        root = 1.0 / root
-        others = [1.0 / r for r in analysis.roots if r != analysis.roots[root_index]
-                  and r != 0.0]
-    else:
-        others = [r for r in analysis.roots if r != analysis.roots[root_index]]
-    gap = min((abs(root - o) for o in others), default=math.inf)
+        chart, root = DUAL[chart], 1.0 / root
+    gap = min((abs(root - o) for o in analysis.roots_in(chart) if o != root),
+              default=math.inf)
 
     eq = lift(bde, chart)
 
@@ -857,7 +856,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
     for c in circles:
         n = len(c.internal)
         if n < PROBES_PER_SIDE:
-            counts.append(SectorCount(None, "ambiguous", 0, 0, 0, n))
+            counts.append(SectorCount("ambiguous", 0, 0, 0, n))
             continue
         y_seed = eigencoords(c, c.internal)
         outcomes = []                    # forward, then backward
@@ -882,13 +881,13 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
         both_exit = int(np.sum((outcomes[0] == TERM_EXITED)
                                & (outcomes[1] == TERM_EXITED)))
         if both_exit >= n - 1 and fwd_land + bwd_land <= 1:
-            pattern = (4, SADDLE)
+            pattern = SADDLE
         elif (fwd_land >= n - 1 and bwd_land == 0) \
                 or (bwd_land >= n - 1 and fwd_land == 0):
-            pattern = (2, NODE)
+            pattern = NODE
         else:
-            pattern = (None, "ambiguous")
-        counts.append(SectorCount(*pattern, fwd_land, bwd_land, both_exit, n))
+            pattern = "ambiguous"
+        counts.append(SectorCount(pattern, fwd_land, bwd_land, both_exit, n))
     return counts
 
 

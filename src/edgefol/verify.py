@@ -4,9 +4,11 @@ Each suite re-derives one layer of the classification pipeline by a route
 independent of the implementation it checks (derivative extraction against
 closed forms, eigenvalues against differenced Jacobians, classifier output
 against integrated sector counts, printed discriminants against the generic
-cubic discriminant).  Trials derive per-index RNG seeds from the master
-seed, so reports are byte-identical for a fixed seed regardless of worker
-count or scheduling.
+cubic discriminant).  The tangency suite checks the identity
+grad F . xi = 0 on the shipped evaluator itself, `bde._ChartCore`: the
+gradient the tracer projects with and the field it integrates.  Trials
+derive per-index RNG seeds from the master seed, so reports are
+byte-identical for a fixed seed regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import invariants
 from .bde import (
-    CHART_P,
+    BdeField,
     CHART_Q,
     Case,
     cubic_analysis,
@@ -28,6 +30,7 @@ from .bde import (
     lift,
     restricted_jacobian,
     solve_cubic_real,
+    _ChartCore,
 )
 from .foliations import (
     FoliationKind,
@@ -40,7 +43,7 @@ from .foliations import (
 )
 from .geometry import form_polynomials, series_expansion_report
 from .jets import EdgeJet, sample_generic_jet
-from .poly import CompiledPolySet, Poly2
+from .poly import Poly2
 from .tracer import local_sector_counts
 
 _GEOMETRIC_KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
@@ -133,22 +136,9 @@ def _tangency_trial(args):
         Poly2({(i, j): rng.normal() for i in range(3) for j in range(3)})
         for _ in range(3)
     ]
-    chart = CHART_Q if index % 2 else CHART_P
-    pts = rng.uniform(-1.0, 1.0, size=(n_points, 3))
-    u, v, p = pts[:, 0], pts[:, 1], pts[:, 2]
-    A, B, C, Au, Bu, Cu, Av, Bv, Cv = CompiledPolySet(
-        polys + [q.diff("u") for q in polys] + [q.diff("v") for q in polys]
-    ).values(u, v)
-    if chart == CHART_Q:
-        Fu = Au + 2 * Bu * p + Cu * p * p
-        Fv = Av + 2 * Bv * p + Cv * p * p
-        Fp = 2 * B + 2 * C * p
-        xi = (p * Fp, Fp, -(p * Fu + Fv))
-    else:
-        Fu = Au * p * p + 2 * Bu * p + Cu
-        Fv = Av * p * p + 2 * Bv * p + Cv
-        Fp = 2 * A * p + 2 * B
-        xi = (Fp, p * Fp, -(Fu + p * Fv))
+    S = rng.uniform(-1.0, 1.0, size=(n_points, 3))  # rows; odd trials: chart q
+    _, Fu, Fv, Fp = BdeField(*polys).core.F_and_gradient(S, index % 2 == 1)
+    xi = _ChartCore.xi(S[:, 2], Fu, Fv, Fp).T
     dot = Fu * xi[0] + Fv * xi[1] + Fp * xi[2]
     scale = 1.0 + np.sqrt(Fu**2 + Fv**2 + Fp**2) * np.sqrt(
         xi[0]**2 + xi[1]**2 + xi[2]**2)

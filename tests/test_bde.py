@@ -23,6 +23,7 @@ from edgefol.bde import (
     solve_cubic_real,
     solve_fiber_coordinate,
     unique_direction_at_origin,
+    _ChartCore,
 )
 from edgefol.errors import (
     CommonRoot,
@@ -130,6 +131,18 @@ def test_lifted_field_tangency_identity():
             dot = grad[0] * xi[0] + grad[1] * xi[1] + grad[2] * xi[2]
             scale = 1.0 + np.linalg.norm(grad) * np.linalg.norm(xi)
             assert abs(dot) / scale < 1e-13
+
+
+def test_tangency_suite_reads_the_shipped_field(monkeypatch):
+    """The verify tangency suite checks `_ChartCore.xi` itself: with the sign
+    of its chart-variable component flipped, every trial fails."""
+    from edgefol import verify
+    args = [(0, index, 1000) for index in range(4)]     # both charts
+    assert all(verify._tangency_trial(a)[0] for a in args)
+    shipped = _ChartCore.xi
+    monkeypatch.setattr(_ChartCore, "xi", staticmethod(
+        lambda p, Fu, Fv, Fp: shipped(p, Fu, Fv, Fp) * (1.0, 1.0, -1.0)))
+    assert not any(verify._tangency_trial(a)[0] for a in args)
 
 
 EXACT_JET = EdgeJet(Fraction(1, 3), Fraction(-2, 5), Fraction(0),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -124,6 +125,16 @@ def test_overflowing_jet_classifies_degenerate_and_trace_exits_1(
                "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["error"] == "OverflowError"
+    # finite coefficients whose lifted field overflows in every first step
+    path = jet_file({**SADDLE_JET, "b12": 1e150}, "big.json")
+    for command, out in (("trace", "big.csv"), ("render", "big.svg")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["--json", command, "--jet", path, "--foliation",
+                       "asymptotic", "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "OverflowError"
+        assert not (tmp_path / out).exists()
 
 
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
@@ -176,7 +187,7 @@ def test_verify_report_bytes_pinned(capsys):
     assert main(["verify", "--trials", "6", "--seed", "3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == (
-        "5e773540a9ba3b3440316d3fcb3c82df703b09af1f42df8cdefc9d26f5df8154")
+        "79220ae28f1acd54084042fa2c83cec39136bb89c3f390ab842dd56f61b1f908")
 
 
 @pytest.mark.parametrize("workers, trials, cpus, pool", [

@@ -136,6 +136,19 @@ def test_chart_breakdown_continues_in_dual_chart():
                           (end[0], end[1], 1.0 / end[2]))
 
 
+def test_overflowing_rows_stop_non_finite_and_are_not_continued():
+    # coefficients near 1e150: the field is finite at the seed, but the
+    # first RK4 step overflows, in both time directions
+    field = build_geometric_bde(EdgeJet(0.0, 0.0, 0.0, 0.1, 1e150, 1.0),
+                                FoliationKind.ASYMPTOTIC)
+    ((chart, value), *_) = direction_roots(field, 0.5, 0.2)
+    seed = (0.5, 0.2, value) if chart == CHART_P else (0.2, 0.5, value)
+    (curve,), warnings, continuations = _trace_seed(field, chart, seed, 1e-3, 100)
+    assert (curve.termination, curve.termination_backward, len(curve)) \
+        == ("non_finite", "non_finite", 1)
+    assert warnings == 0 and continuations == []
+
+
 def test_step_halving_convergence():
     field = BdeField(ONE, Poly2.monomial(1, 0, 0.3),
                      Poly2.const(-1.0) + Poly2.monomial(0, 1, 0.4))
@@ -152,6 +165,22 @@ def test_direction_roots_cover_both_branches():
     values = sorted(v for _, v in seeds)
     assert np.allclose(values, [-1.0, 1.0])
     assert direction_roots(BdeField(ONE, Poly2(), ONE), 0.0, 0.0) == []
+    # every direction on the side grids of the geometric BDEs lies in the
+    # unit interval of its chart: trace_portrait seeds them unfiltered
+    for config in (TraceConfig(), TraceConfig(box=0.15, seeds_per_side=8)):
+        b, n = config.box, config.seeds_per_side
+        offsets = -b + 2.0 * b * (np.arange(n) + 0.5) / n
+        sides = [(t, s) for t in offsets for s in (-b, b)] \
+            + [(s, t) for t in offsets for s in (-b, b)]
+        for seed in range(100):
+            for scenario in ("generic", "edge_degenerate"):
+                for kind in FoliationKind:
+                    field = build_geometric_bde(
+                        sample_generic_jet(seed, scenario), kind)
+                    values = [x for u, v in sides for _, x in
+                              direction_roots(field, float(u), float(v))]
+                    assert all(math.isfinite(x) and abs(x) <= 1.0
+                               for x in values), (seed, kind)
 
 
 def test_portrait_three_saddles_structure():
