@@ -191,6 +191,10 @@ class _ChartCore:
             abc + [f.diff(var) for var in ("u", "v") for f in abc])
 
     def _values(self, S, q):
+        if np.ndim(q) == 0:          # one chart for every row: no per-row select
+            if q:
+                return self.cset.values(S[:, 1], S[:, 0])[SWAP_UV]
+            return self.cset.values(S[:, 0], S[:, 1])
         vals = self.cset.values(np.where(q, S[:, 1], S[:, 0]),
                                 np.where(q, S[:, 0], S[:, 1]))
         return np.where(q, vals[SWAP_UV], vals)

@@ -11,7 +11,8 @@ continuations are internal rows: (u, v, p) in chart p, (v, u, q) in chart
 q.  Every batch row carries its own chart, step and stops: a request
 integrates its charts, time directions and probed roots as one batch.  A
 recorded batch logs the samples each step takes and assembles one path per
-row at the end.
+row at the end; `_trace_worklist` turns a portrait's two batches (seeds,
+then chart continuations) into curves with array operations.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -68,6 +69,7 @@ TERM_CAP = "step_cap"
 TERM_SINGULAR = "singular_point"
 TERM_CHART = "chart_breakdown"
 TERM_NONFINITE = "non_finite"
+TERM_STALLED = "stalled"
 TERM_LANDED = "landed"
 TERM_EXITED = "exited"
 
@@ -121,8 +123,7 @@ class Portrait:
 # --- batched integrator core ---
 
 def _swap_uv(states, q):
-    """Public <-> internal coordinates: chart-q rows (mask `q`) swap u, v."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    """Public <-> internal (n, 3) rows: chart-q rows (mask `q`) swap u, v."""
     return np.where(np.reshape(q, (-1, 1)), states[:, [1, 0, 2]], states)
 
 
@@ -157,11 +158,13 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     measured in the surface-graph coordinates (first base coordinate, chart
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
-    A batch with a `ball` is a sector probe: it follows the unit-speed
-    field, projects along the full gradient every PROBE_PROJECT_EVERY steps
-    and records no paths.  Any other batch logs each step's samples and
-    assembles one path per row at the end.  Terminated rows freeze; the
-    loop ends when none remain.
+    Last, a row back at its state of the previous scheduled projection (the
+    seed before the first), bit for bit, stops as stalled.  A batch with a
+    `ball` is a sector probe: it follows the unit-speed field, projects
+    along the full gradient every PROBE_PROJECT_EVERY steps and records no
+    paths.  Any other batch logs each step's samples and assembles one path
+    per row at the end.  Terminated rows freeze; the loop ends when none
+    remain.
     """
     S = np.array(states, dtype=float)
     n = len(S)
@@ -195,6 +198,7 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     if probe:
         per_row.update(zip(("center", "land", "exit", "transform"), ball))
     r = per_row
+    anchor = S.copy()   # each row's last scheduled state, indexed like S
     for k in range(1, max_steps + 1):
         if active.size == 0:
             break
@@ -254,6 +258,12 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
             r2 = dw * dw + dp * dp
             stops += [(r2 < r["land"]**2, TERM_LANDED),
                       (r2 > r["exit"]**2, TERM_EXITED)]
+        if scheduled:
+            # a cadence of steps depends only on its start state: a row back
+            # at it, bit for bit, would repeat itself until the step cap
+            same = nxt.view(np.int64) == anchor[active].view(np.int64)
+            stops.append((same.all(axis=1), TERM_STALLED))
+            anchor[active] = nxt     # a copy: `nxt` itself is logged
         done = np.zeros(len(nxt), dtype=bool)
         for mask, term in stops:     # the first test a row meets names its stop
             status[active[mask & ~done]] = term
@@ -277,55 +287,20 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     return _BatchResult(status=status, final=S, steps=steps_used, paths=paths)
 
 
-def _clip_to_box(path: np.ndarray, box: float, core: _ChartCore, q) -> np.ndarray:
-    """Replace the out-of-box final sample of a box-exit path (at least one
-    step long) by its interpolation to the boundary.
-
-    The interpolated chart variable is Newton-polished back onto {F = 0} so
-    the clipped sample satisfies the on-surface residual bound like every
-    other sample.
-    """
-    last, prev = path[-1], path[-2]
-    spans = []
-    for i in range(2):
-        if abs(last[i]) > box and abs(last[i] - prev[i]) > 0:
-            target = math.copysign(box, last[i])
-            spans.append((target - prev[i]) / (last[i] - prev[i]))
-    s = min((x for x in spans if 0.0 <= x <= 1.0), default=1.0)
-    path = path.copy()
-    clipped = (prev + s * (last - prev))[None, :]
-    for _ in range(8):
-        if not _newton_p(core, clipped, q, ftol=1e-15):
+def _clip_box_exits(core: _ChartCore, S, last, prev, q, box):
+    """Clip each box-exit sample S[last] (in place) to the boundary along its
+    step from S[prev], at the first crossing fraction in [0, 1] (else 1), and
+    Newton-polish its chart variable onto {F = 0} for the residual bound."""
+    a, b = S[last, :2], S[prev, :2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spans = (np.copysign(box, a) - b) / (a - b)
+    crossing = (np.abs(a) > box) & (a != b) & (spans >= 0.0) & (spans <= 1.0)
+    clipped = S[prev] + np.where(crossing, spans, 1.0).min(axis=1)[:, None] \
+        * (S[last] - S[prev])
+    for _ in range(8):   # a row that stops moving stays put on later passes
+        if not _newton_p(core, clipped, q[last], ftol=1e-15):
             break
-    path[-1] = clipped[0]
-    return path
-
-
-def _arclength(samples: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.sum(np.diff(samples, axis=0) ** 2, axis=1))
-    return np.concatenate([[0.0], np.cumsum(d)])
-
-
-def _stitch(core, back_path, fwd_path, back_status, fwd_status, box, chart,
-            seed_index, is_separatrix) -> TracedCurve:
-    q = chart == CHART_Q
-    if back_status == TERM_BOX:
-        back_path = _clip_to_box(back_path, box, core, q)
-    if fwd_status == TERM_BOX:
-        fwd_path = _clip_to_box(fwd_path, box, core, q)
-    samples_internal = np.vstack([back_path[::-1], fwd_path[1:]])
-    samples = _swap_uv(samples_internal, q)
-    return TracedCurve(
-        samples=samples,
-        t=_arclength(samples),
-        chart=chart,
-        termination=fwd_status,
-        termination_backward=back_status,
-        is_separatrix=is_separatrix,
-        max_residual=float(np.max(np.abs(core.residual(samples_internal, q)))),
-        seed_index=seed_index,
-        seed_sample=len(back_path) - 1,
-    )
+    S[last] = clipped
 
 
 # --- seeding ---
@@ -387,43 +362,71 @@ def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
 def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
                     singular_by_chart):
     """Integrate (chart, internal state, is_separatrix) seeds both ways in
-    one batch.
+    one batch, then their chart breakdowns in a second; returns the curves
+    and the number of seeds dropped as off M.
 
-    Returns the curves in worklist order, the number of seeds dropped as off
-    M, and the chart-breakdown continuations: chart-p seeds first, each
-    chart in worklist order, backward before forward.  The internal row
-    (w, x, p) continues as the dual chart's row (x, w, 1/p)."""
+    Each round finishes its curves at once: box exits clipped, halves
+    joined at the seed, one swap to public coordinates, one residual.  The
+    seeds' curves come in worklist order, then the continuations with
+    seed_index -1: chart-p seeds' first, each chart in worklist order,
+    backward before forward.  The internal row (w, x, p) continues as the
+    dual chart's row (x, w, 1/p); a continuation is not continued again."""
     core = bde.core
-    entries = sorted(enumerate(worklist), key=lambda e: e[1][0])
-    q = np.array([chart == CHART_Q for _, (chart, _, _) in entries], dtype=bool)
-    states = np.array([e[1][1] for e in entries], dtype=float).reshape(-1, 3)
-    resid = np.abs(core.residual(states, q))
-    ok = resid <= SEED_RESIDUAL_TOL * max(1.0, bde.coefficient_scale())
-    warnings = int(np.sum(~ok))
-    entries = [e for e, good in zip(entries, ok) if good]
-    n = len(entries)
-    # rows 0..n-1 run backward in time, rows n..2n-1 forward
-    run = _integrate_batch(
-        core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
-        step=np.repeat([-config.step, config.step], n),
-        max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
-    )
-    curves, continuations = [], []
-    for row, (index, (chart, _state, is_sep)) in enumerate(entries):
-        curves.append(_stitch(
-            core, run.paths[row], run.paths[n + row], run.status[row],
-            run.status[n + row], config.box, chart, seed_index=index,
-            is_separatrix=is_sep))
-        for r in (row, n + row):
-            if run.status[r] == TERM_CHART:
-                w, x, p = run.final[r]
-                # the exceptional fiber projects to a point: nothing to
-                # continue there
-                on_fiber = max(abs(w), abs(x)) < 1e-12
-                if abs(p) > 0 and not on_fiber:
-                    continuations.append((DUAL[chart], (x, w, 1.0 / p), is_sep))
-    curves.sort(key=lambda c: c.seed_index)
-    return curves, warnings, continuations
+    tol = SEED_RESIDUAL_TOL * max(1.0, bde.coefficient_scale())
+    curves, warnings = [], 0
+    for seeds_round in (True, False):
+        q = np.array([chart == CHART_Q for chart, _, _ in worklist], dtype=bool)
+        states = np.array([s for _, s, _ in worklist], dtype=float).reshape(-1, 3)
+        ok = np.abs(core.residual(states, q)) <= tol
+        warnings += int(np.sum(~ok))
+        entries = [e for e, good in zip(enumerate(worklist), ok) if good]
+        n = len(entries)
+        if n == 0:
+            break
+        # rows 0..n-1 run backward in time, rows n..2n-1 forward
+        run = _integrate_batch(
+            core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
+            step=np.repeat([-config.step, config.step], n),
+            max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
+        )
+        back = run.steps[:n]
+        sizes = back + 1 + run.steps[n:]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        joined = np.concatenate([part for b, f in zip(run.paths[:n], run.paths[n:])
+                                 for part in (b[::-1], f[1:])])
+        q_joined = np.repeat(q[ok], sizes)
+        # backward halves end at their curve's first sample, forward ones at its last
+        exits = np.flatnonzero(run.status == TERM_BOX)
+        fwd = exits >= n
+        last = np.where(fwd, ends[exits % n] - 1, starts[exits % n])
+        _clip_box_exits(core, joined, last, np.where(fwd, last - 1, last + 1),
+                        q_joined, config.box)
+        samples = _swap_uv(joined, q_joined)
+        chord = np.sqrt(np.sum(np.diff(samples, axis=0) ** 2, axis=1))
+        peak = np.maximum.reduceat(np.abs(core.residual(joined, q_joined)), starts)
+        for row, (index, (chart, _, is_sep)) in enumerate(entries):
+            lo, hi = starts[row], ends[row]
+            curves.append(TracedCurve(     # t: chordal arclength, per curve
+                samples=samples[lo:hi],
+                t=np.concatenate([[0.0], np.cumsum(chord[lo:hi - 1])]),
+                chart=chart, termination=run.status[n + row],
+                termination_backward=run.status[row], is_separatrix=is_sep,
+                max_residual=float(peak[row]), seed_sample=int(back[row]),
+                seed_index=index if seeds_round else -1))
+
+        # the exceptional fiber projects to a point: nothing to continue there
+        w, x, p = run.final.T
+        goes_on = (run.status == TERM_CHART) & (np.abs(p) > 0) \
+            & ~(np.maximum(np.abs(w), np.abs(x)) < 1e-12)
+        # chart-p seeds' continuations, in chart q, first (sorted() is stable)
+        worklist = sorted([(DUAL[chart], (x[r], w[r], 1.0 / p[r]), is_sep)
+                           for row, (_, (chart, _, is_sep)) in enumerate(entries)
+                           for r in (row, n + row) if goes_on[r]],
+                          key=lambda seed: seed[0], reverse=True)
+        if not worklist:
+            break
+    return curves, warnings
 
 
 def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portrait:
@@ -473,19 +476,11 @@ def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portra
         except EdgefolError:
             warnings += 1
 
-    curves, warn2, continuations = _trace_worklist(
-        bde, worklist, config, singular_by_chart)
+    curves, dropped = _trace_worklist(bde, worklist, config, singular_by_chart)
     if {(len(c), c.termination, c.termination_backward) for c in curves} \
             == {(1, TERM_NONFINITE, TERM_NONFINITE)}:   # no row took a step
         raise OverflowError("the lifted field overflows at every seed")
-    warnings += warn2
-    if continuations:
-        more, warn3, _ = _trace_worklist(bde, continuations, config,
-                                         singular_by_chart)
-        for c in more:
-            c.seed_index = -1
-        curves.extend(more)
-        warnings += warn3
+    warnings += dropped
 
     locus = discriminant_locus(delta, config.box)
     return Portrait(curves=curves, singular_points=singular_points,

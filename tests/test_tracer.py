@@ -38,7 +38,8 @@ ONE_SADDLE_JET = EdgeJet(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 def _trace_seed(bde, chart, seed, step, max_steps, roots=()):
     """One seed traced both ways through the portrait's worklist path, in
-    the box [-0.5, 0.5]^2; returns (curves, warnings, continuations)."""
+    the box [-0.5, 0.5]^2; returns (curves, warnings), the seed's curve
+    followed by its chart-breakdown continuations."""
     return _trace_worklist(
         bde, [(chart, seed, False)],
         TraceConfig(box=0.5, step=step, max_steps=max_steps), {chart: roots})
@@ -46,7 +47,7 @@ def _trace_seed(bde, chart, seed, step, max_steps, roots=()):
 
 def test_constant_bde_traces_diagonal_line():
     field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
-    (curve,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 4000)
+    (curve,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 4000)
     assert np.max(np.abs(curve.samples[:, 0] - curve.samples[:, 1])) < 1e-12
     assert np.max(np.abs(curve.samples[:, 2] - 1.0)) < 1e-12
     assert curve.termination == "box_exit"
@@ -68,7 +69,7 @@ def test_on_surface_residual_bound():
 
 def test_seed_off_surface_rejected():
     field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
-    curves, warnings, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 0.5), 1e-3, 100)
+    curves, warnings = _trace_seed(field, CHART_P, (0.0, 0.0, 0.5), 1e-3, 100)
     assert warnings == 1
     assert curves == []
 
@@ -78,8 +79,8 @@ def test_termination_at_singular_point():
     # the lifted field and stop within the singular radius
     field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(field, CHART_Q))
-    (curve,), _, _ = _trace_seed(field, CHART_Q, (0.0, 0.0, 0.0), 1e-3, 40000,
-                                 analysis.roots)
+    (curve,), _ = _trace_seed(field, CHART_Q, (0.0, 0.0, 0.0), 1e-3, 40000,
+                              analysis.roots)
     assert curve.termination == "singular_point"
     assert curve.termination_backward == "singular_point"
     ends = sorted([curve.samples[0, 2], curve.samples[-1, 2]])
@@ -90,31 +91,31 @@ def test_termination_at_singular_point():
 def test_termination_near_single_saddle_despite_fiber_escape():
     # seeded near the unique zero: the inward direction terminates at it;
     # the outward fiber direction escapes the chart, reported as breakdown;
-    # on the fiber it projects to a point, so nothing is continued
+    # on the fiber it projects to a point, so nothing is continued (one curve)
     field = build_geometric_bde(ONE_SADDLE_JET, FoliationKind.ASYMPTOTIC)
     root = -2.0 ** (-1.0 / 3.0)
-    (curve,), _, continuations = _trace_seed(
+    (curve,), _ = _trace_seed(
         field, CHART_Q, (0.0, 0.0, -0.7), 1e-3, 400000, (root,))
     ends = {curve.termination: curve.samples[-1],
             curve.termination_backward: curve.samples[0]}
     assert set(ends) == {"singular_point", "chart_breakdown"}
     assert math.isclose(ends["singular_point"][2], root, abs_tol=2e-5)
     assert np.array_equal(ends["chart_breakdown"][:2], (0.0, 0.0))
-    assert continuations == []
 
 
 def test_chart_breakdown_raises_with_partial():
     # on the exceptional fiber the chart variable escapes to infinity; the
     # broken half is kept, and since the fiber projects to a point nothing
-    # is continued in the dual chart
+    # is continued in the dual chart (one curve).  The forward half reaches
+    # the third saddle root, which is not listed as singular, and stops
+    # moving there: it stops as stalled, not at the 200,000-step cap
     field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
-    (curve,), _, continuations = _trace_seed(field, CHART_Q, (0.0, 0.0, 5.0),
-                                             1e-2, 200000)
+    (curve,), _ = _trace_seed(field, CHART_Q, (0.0, 0.0, 5.0), 1e-2, 200000)
     assert "chart_breakdown" in (curve.termination, curve.termination_backward)
     end = curve.samples[-1] if curve.termination == "chart_breakdown" \
         else curve.samples[0]
     assert np.array_equal(end[:2], (0.0, 0.0))
-    assert continuations == []
+    assert curve.termination == "stalled"
     assert np.array_equal(curve.samples[curve.seed_sample], (0.0, 0.0, 5.0))
 
 
@@ -143,17 +144,17 @@ def test_overflowing_rows_stop_non_finite_and_are_not_continued():
                                 FoliationKind.ASYMPTOTIC)
     ((chart, value), *_) = direction_roots(field, 0.5, 0.2)
     seed = (0.5, 0.2, value) if chart == CHART_P else (0.2, 0.5, value)
-    (curve,), warnings, continuations = _trace_seed(field, chart, seed, 1e-3, 100)
+    (curve,), warnings = _trace_seed(field, chart, seed, 1e-3, 100)
     assert (curve.termination, curve.termination_backward, len(curve)) \
         == ("non_finite", "non_finite", 1)
-    assert warnings == 0 and continuations == []
+    assert warnings == 0
 
 
 def test_step_halving_convergence():
     field = BdeField(ONE, Poly2.monomial(1, 0, 0.3),
                      Poly2.const(-1.0) + Poly2.monomial(0, 1, 0.4))
-    (coarse,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 8000)
-    (fine,), _, _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 5e-4, 16000)
+    (coarse,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 8000)
+    (fine,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 5e-4, 16000)
     assert np.max(np.abs(coarse.samples[-1] - fine.samples[-1])) <= 1e-6
     assert np.max(np.abs(coarse.samples[0] - fine.samples[0])) <= 1e-6
 
@@ -399,6 +400,49 @@ def test_recorded_batch_rows_match_one_row_batches():
         assert path[-1].tobytes() == mixed.final[r].tobytes()
 
 
+def _curve_bytes(curve):
+    return (curve.samples.tobytes(), curve.t.tobytes(), curve.chart,
+            curve.termination, curve.termination_backward, curve.is_separatrix,
+            curve.max_residual, curve.seed_sample)
+
+
+@pytest.mark.parametrize("jet, kind, config", [
+    (sample_generic_jet(4), FoliationKind.CHARACTERISTIC,
+     TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)),
+    (sample_generic_jet(1, "edge_degenerate"), FoliationKind.ASYMPTOTIC,
+     TraceConfig(box=0.1, step=1e-2, seeds_per_side=3, max_steps=600)),
+])
+def test_portrait_curves_match_lone_seed_traces(jet, kind, config):
+    """Every curve of a portrait is, bit for bit, the curve its seed gives
+    when traced alone: a round's box clips, joins, swaps and residuals are
+    made for all its rows at once without mixing them.  Both portraits have
+    box exits, step caps and chart breakdowns, whose continuations are the
+    lone traces' later curves.  In the second, separatrix and continuation
+    seeds start inside the box, so their lone traces clip without the
+    boundary seeds' box exits, whose clipped samples need no Newton pass."""
+    field = build_geometric_bde(jet, kind)
+    portrait = trace_portrait(field, config)
+    singular = {} if portrait.analysis is None else {
+        chart: portrait.analysis.roots_in(chart) for chart in (CHART_P, CHART_Q)}
+    # the portrait's order: chart-p seeds first, each in worklist order
+    seeds = sorted((c for c in portrait.curves if c.seed_index >= 0),
+                   key=lambda c: c.chart)
+    continued = [c for c in portrait.curves if c.seed_index == -1]
+    assert {t for c in seeds for t in (c.termination, c.termination_backward)} \
+        >= {"box_exit", "step_cap", "chart_breakdown"}
+    assert continued
+    lone_continuations = []
+    for curve in seeds:
+        seed = _swap_uv(curve.samples[[curve.seed_sample]], curve.chart == CHART_Q)[0]
+        (alone, *more), _ = _trace_worklist(
+            field, [(curve.chart, tuple(seed), curve.is_separatrix)], config,
+            singular)
+        assert _curve_bytes(alone) == _curve_bytes(curve)
+        lone_continuations += more
+    assert [_curve_bytes(c) for c in lone_continuations] \
+        == [_curve_bytes(c) for c in continued]
+
+
 def test_batched_sector_counts_equal_single_root_counts():
     jets = [THREE_SADDLES_JET] + [sample_generic_jet(seed, "edge_degenerate")
                                   for seed in range(20)]
@@ -511,8 +555,8 @@ def test_composition_through_null_cusp_is_34():
 
 
 def _edge_crossing_curve(jet, kind, u0=0.12, step=2e-4, max_steps=3000):
-    (curve,), _, _ = _trace_seed(build_geometric_bde(jet, kind), CHART_Q,
-                                 (0.0, u0, 0.0), step, max_steps)
+    (curve,), _ = _trace_seed(build_geometric_bde(jet, kind), CHART_Q,
+                              (0.0, u0, 0.0), step, max_steps)
     return curve
 
 
