@@ -8,11 +8,12 @@ which serves both charts from the nine compiled values of (A, B, C), read
 through one permutation in chart q; every function here that has the BDE
 reads it as `bde.core`, compiled once per BDE.  Seeds and chart
 continuations are internal rows: (u, v, p) in chart p, (v, u, q) in chart
-q.  Every batch row carries its own chart, step and stops: a request
-integrates its charts, time directions and probed roots as one batch.  A
-recorded batch logs the samples each step takes and assembles one path per
-row at the end; `_trace_worklist` turns a portrait's two batches (seeds,
-then chart continuations) into curves with array operations.
+q.  `_integrate_batch` runs every seed both ways, each with its own chart,
+step and stops, so a request integrates its charts, time directions and
+probed roots as one batch.  It clips box exits at the step where they
+happen, and a recorded batch returns each seed's curve already joined;
+`_trace_worklist` turns a portrait's two batches (seeds, then chart
+continuations) into curves with array operations.
 
 The module also provides the two independent oracles used to validate the
 classifier: a sector-count probe around each lifted singular point and a
@@ -129,10 +130,10 @@ def _swap_uv(states, q):
 
 @dataclass
 class _BatchResult:
-    status: np.ndarray           # termination string per state
-    final: np.ndarray            # (n, 3) internal coordinates
+    status: np.ndarray           # per row: row i runs seed i backward, n + i forward
+    final: np.ndarray            # (2n, 3) internal coordinates
     steps: np.ndarray
-    paths: list | None           # per-state (k, 3) internal samples incl. seed
+    samples: np.ndarray | None   # each seed's curve in turn, internal coordinates
 
 
 def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
@@ -145,12 +146,13 @@ def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
     return bool(ok.any())
 
 
-def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
-                     box=None, singular=None, singular_stop=SINGULAR_STOP,
+def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
+                     box=np.inf, singular=None, singular_stop=SINGULAR_STOP,
                      ball=None):
-    """Fixed-step RK4 on the lifted field for a batch of internal states.
+    """Fixed-step RK4 on the lifted field, each internal seed both ways.
 
-    Each row has its own chart (`q`), signed `step` and stopping tests: a
+    Row i runs seed i backward in time and row n + i forward.  Each seed has
+    its own chart (`q`), step size (`step`, unsigned) and stopping tests: a
     non-finite step (the field overflowed), box exit on the base
     coordinates, proximity to its chart's singular points (0, 0, p_i)
     (`singular` maps chart -> p_i), chart-variable blowup past CHART_BOUND,
@@ -159,28 +161,31 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
     Last, a row back at its state of the previous scheduled projection (the
-    seed before the first), bit for bit, stops as stalled.  A batch with a
-    `ball` is a sector probe: it follows the unit-speed field, projects
-    along the full gradient every PROBE_PROJECT_EVERY steps and records no
-    paths.  Any other batch logs each step's samples and assembles one path
-    per row at the end.  Terminated rows freeze; the loop ends when none
-    remain.
+    seed before the first), bit for bit, stops as stalled.  A box-exit
+    sample is clipped to the box along its step and Newton-polished onto M.
+    A batch with a `ball` is a sector probe: it follows the unit-speed
+    field, projects along the full gradient every PROBE_PROJECT_EVERY steps
+    and records no samples.  Any other batch logs each step's samples and
+    joins each seed's two halves at the end: the backward half reversed, the
+    seed, then the forward half.  Terminated rows freeze; the loop ends when
+    none remain.
     """
-    S = np.array(states, dtype=float)
-    n = len(S)
-    q = np.broadcast_to(q, (n,))
-    step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
+    S = np.tile(np.asarray(seeds, dtype=float), (2, 1))
+    n = len(S) // 2
+    q = np.tile(np.broadcast_to(q, (n,)), 2)
+    size = np.broadcast_to(np.asarray(step, dtype=float), (n,))
+    step = np.concatenate([-size, size])
     probe = ball is not None
     project_every = PROBE_PROJECT_EVERY if probe else PROJECT_EVERY
-    status = np.array([""] * n, dtype=object)
-    steps_used = np.zeros(n, dtype=int)
+    status = np.array([""] * (2 * n), dtype=object)
+    steps_used = np.zeros(2 * n, dtype=int)
     # (rows, sample index, samples, wild) per step, the seeds first
-    log = None if probe else [(np.arange(n), np.zeros(n, dtype=int), S.copy(),
-                               np.zeros(n, dtype=bool))]
-    active = np.arange(n)
+    log = None if probe else [(np.arange(2 * n), np.zeros(2 * n, dtype=int),
+                               S.copy(), np.zeros(2 * n, dtype=bool))]
+    active = np.arange(2 * n)
     # each row's singular points, padded with inf (never within reach)
     sing_by_chart = [(singular or {}).get(c, ()) for c in (CHART_P, CHART_Q)]
-    sing = np.full((n, max(map(len, sing_by_chart))), np.inf)
+    sing = np.full((2 * n, max(map(len, sing_by_chart))), np.inf)
     for in_q, roots in enumerate(sing_by_chart):
         sing[q == bool(in_q), :len(roots)] = roots
 
@@ -196,7 +201,8 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
                    stiff_move=5.0 * abs_h, wild_move=20.0 * abs_h,
                    cap=np.maximum(0.05, 50.0 * abs_h), sing=sing)
     if probe:
-        per_row.update(zip(("center", "land", "exit", "transform"), ball))
+        per_row.update(zip(("center", "land", "exit", "transform"),
+                           (np.concatenate([x, x]) for x in ball)))
     r = per_row
     anchor = S.copy()   # each row's last scheduled state, indexed like S
     for k in range(1, max_steps + 1):
@@ -236,15 +242,18 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
             frozen = cur[wild]
             _newton_p(core, frozen, qa[wild])
             nxt[wild] = frozen
+        out = np.abs(nxt[:, :2]).max(axis=1) > box
+        leaving = out & ~wild
+        if leaving.any():
+            nxt[leaving] = _clip_box_exits(core, nxt[leaving], cur[leaving],
+                                           qa[leaving], box)
         at = k - wild               # a wild row keeps its step count
         S[active] = nxt
         steps_used[active] = at
         if log is not None:
             log.append((active, at, nxt, wild))
 
-        stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART)]
-        if box is not None:
-            stops.append((np.abs(nxt[:, :2]).max(axis=1) > box, TERM_BOX))
+        stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART), (out, TERM_BOX)]
         if sing.size:
             d2 = (nxt[:, 0, None] ** 2 + nxt[:, 1, None] ** 2
                   + (nxt[:, 2, None] - r["sing"]) ** 2)
@@ -273,34 +282,34 @@ def _integrate_batch(core: _ChartCore, states, q, *, step, max_steps,
             r = {name: x[active] for name, x in per_row.items()}
 
     status[active] = TERM_CAP
-    paths = None
+    samples = None
     if log is not None:
-        rows, at, samples, wild = (np.concatenate(col) for col in zip(*log))
-        sizes = steps_used + 1
-        ends = np.cumsum(sizes)
-        where = ends[rows] - sizes[rows] + at
-        out = np.empty((sizes.sum(), 3))
-        out[where[~wild]] = samples[~wild]
-        # a wild row's re-projected sample replaces the one logged before it
-        out[where[wild]] = samples[wild]
-        paths = np.split(out, ends)[:-1]
-    return _BatchResult(status=status, final=S, steps=steps_used, paths=paths)
+        rows, at, logged, wild = (np.concatenate(col) for col in zip(*log))
+        back, sizes = steps_used[:n], steps_used[:n] + 1 + steps_used[n:]
+        seed_at = np.cumsum(sizes) - sizes + back
+        where = seed_at[rows % n] + np.where(rows < n, -at, at)
+        # the seed sample is the backward row's (re-projected if it was wild
+        # at once); a wild row's re-projected sample replaces the one before it
+        keep = (rows < n) | (at > 0)
+        samples = np.empty((sizes.sum(), 3))
+        for mask in (keep & ~wild, keep & wild):
+            samples[where[mask]] = logged[mask]
+    return _BatchResult(status=status, final=S, steps=steps_used, samples=samples)
 
 
-def _clip_box_exits(core: _ChartCore, S, last, prev, q, box):
-    """Clip each box-exit sample S[last] (in place) to the boundary along its
-    step from S[prev], at the first crossing fraction in [0, 1] (else 1), and
-    Newton-polish its chart variable onto {F = 0} for the residual bound."""
-    a, b = S[last, :2], S[prev, :2]
+def _clip_box_exits(core: _ChartCore, a, b, q, box):
+    """The steps from rows b to rows a, which leave the box, cut at their
+    first boundary crossing fraction in [0, 1] (else 1), with the chart
+    variable Newton-polished onto {F = 0} for the residual bound."""
+    ab, bb = a[:, :2], b[:, :2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        spans = (np.copysign(box, a) - b) / (a - b)
-    crossing = (np.abs(a) > box) & (a != b) & (spans >= 0.0) & (spans <= 1.0)
-    clipped = S[prev] + np.where(crossing, spans, 1.0).min(axis=1)[:, None] \
-        * (S[last] - S[prev])
+        spans = (np.copysign(box, ab) - bb) / (ab - bb)
+    crossing = (np.abs(ab) > box) & (ab != bb) & (spans >= 0.0) & (spans <= 1.0)
+    clipped = b + np.where(crossing, spans, 1.0).min(axis=1)[:, None] * (a - b)
     for _ in range(8):   # a row that stops moving stays put on later passes
-        if not _newton_p(core, clipped, q[last], ftol=1e-15):
+        if not _newton_p(core, clipped, q, ftol=1e-15):
             break
-    S[last] = clipped
+    return clipped
 
 
 # --- seeding ---
@@ -365,8 +374,8 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
     one batch, then their chart breakdowns in a second; returns the curves
     and the number of seeds dropped as off M.
 
-    Each round finishes its curves at once: box exits clipped, halves
-    joined at the seed, one swap to public coordinates, one residual.  The
+    Each round finishes the joined curves `_integrate_batch` returns at
+    once: one swap to public coordinates, one residual.  The
     seeds' curves come in worklist order, then the continuations with
     seed_index -1: chart-p seeds' first, each chart in worklist order,
     backward before forward.  The internal row (w, x, p) continues as the
@@ -383,28 +392,17 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
         n = len(entries)
         if n == 0:
             break
-        # rows 0..n-1 run backward in time, rows n..2n-1 forward
-        run = _integrate_batch(
-            core, np.vstack([states[ok]] * 2), np.tile(q[ok], 2),
-            step=np.repeat([-config.step, config.step], n),
-            max_steps=config.max_steps, box=config.box, singular=singular_by_chart,
-        )
-        back = run.steps[:n]
-        sizes = back + 1 + run.steps[n:]
+        run = _integrate_batch(core, states[ok], q[ok], step=config.step,
+                               max_steps=config.max_steps, box=config.box,
+                               singular=singular_by_chart)
+        back, sizes = run.steps[:n], run.steps[:n] + 1 + run.steps[n:]
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        joined = np.concatenate([part for b, f in zip(run.paths[:n], run.paths[n:])
-                                 for part in (b[::-1], f[1:])])
         q_joined = np.repeat(q[ok], sizes)
-        # backward halves end at their curve's first sample, forward ones at its last
-        exits = np.flatnonzero(run.status == TERM_BOX)
-        fwd = exits >= n
-        last = np.where(fwd, ends[exits % n] - 1, starts[exits % n])
-        _clip_box_exits(core, joined, last, np.where(fwd, last - 1, last + 1),
-                        q_joined, config.box)
-        samples = _swap_uv(joined, q_joined)
+        samples = _swap_uv(run.samples, q_joined)
         chord = np.sqrt(np.sum(np.diff(samples, axis=0) ** 2, axis=1))
-        peak = np.maximum.reduceat(np.abs(core.residual(joined, q_joined)), starts)
+        peak = np.maximum.reduceat(np.abs(core.residual(run.samples, q_joined)),
+                                   starts)
         for row, (index, (chart, _, is_sep)) in enumerate(entries):
             lo, hi = starts[row], ends[row]
             curves.append(TracedCurve(     # t: chordal arclength, per curve
@@ -824,24 +822,22 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
     if indices is None:
         indices = range(len(analysis.roots))
     circles = [_probe_circle(bde, analysis, i) for i in indices]
-    # each circle with enough probes: its forward rows, then its backward rows
     probed = [c for c in circles if len(c.internal) >= PROBES_PER_SIDE]
-    sizes = [2 * len(c.internal) for c in probed]
+    sizes = [len(c.internal) for c in probed]
+    total = sum(sizes)
 
-    def per_row(values):
+    def per_seed(values):
         return np.repeat(np.array(values), sizes, axis=0)
 
     if probed:
         res = _integrate_batch(
-            bde.core, np.vstack([np.vstack([c.internal] * 2) for c in probed]),
-            per_row([c.q for c in probed]),
-            step=np.concatenate([np.repeat([c.rho / 60.0, -c.rho / 60.0],
-                                           len(c.internal)) for c in probed]),
-            max_steps=24000,
-            ball=(per_row([(0.0, c.root) for c in probed]),
-                  per_row([LAND_FRACTION * c.rho for c in probed]),
-                  per_row([EXIT_FRACTION * c.rho for c in probed]),
-                  per_row([c.inverse for c in probed])),
+            bde.core, np.vstack([c.internal for c in probed]),
+            per_seed([c.q for c in probed]),
+            step=per_seed([c.rho / 60.0 for c in probed]), max_steps=24000,
+            ball=(per_seed([(0.0, c.root) for c in probed]),
+                  per_seed([LAND_FRACTION * c.rho for c in probed]),
+                  per_seed([EXIT_FRACTION * c.rho for c in probed]),
+                  per_seed([c.inverse for c in probed])),
         )
 
     def eigencoords(c, states):
@@ -855,7 +851,8 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
             continue
         y_seed = eigencoords(c, c.internal)
         outcomes = []                    # forward, then backward
-        for rows in (slice(start, start + n), slice(start + n, start + 2 * n)):
+        for first in (total + start, start):
+            rows = slice(first, first + n)
             status = res.status[rows].copy()
             # step-capped probes creep along the weak manifold too slowly for
             # the arclength budget; classify them by whether the weak
@@ -870,7 +867,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
                 status[capped & landed] = TERM_LANDED
                 status[capped & ~landed & (wT >= 1.8 * w0)] = TERM_EXITED
             outcomes.append(status)
-        start += 2 * n
+        start += n
 
         fwd_land, bwd_land = (int(np.sum(s == TERM_LANDED)) for s in outcomes)
         both_exit = int(np.sum((outcomes[0] == TERM_EXITED)

@@ -42,7 +42,7 @@ from edgefol.tracer import (
     TraceConfig,
     _trace_worklist,
     detect_cusp_order,
-    local_sector_count,
+    local_sector_counts,
 )
 from edgefol.verify import documented_discrepancies, format_verify_report, \
     format_survey_report, run_survey, run_verify
@@ -171,8 +171,8 @@ def test_criterion_6_sector_counts_match_classifier():
         nonlocal checked, mismatches
         field = build_geometric_bde(jet, kind)
         analysis = cubic_analysis(lift(field, CHART_Q))
-        for i, data in enumerate(analysis.per_root):
-            count = local_sector_count(field, analysis, i)
+        counts = local_sector_counts(field, analysis)
+        for count, data in zip(counts, analysis.per_root):
             checked += 1
             if not count.matches(data.lifted_type):
                 mismatches += 1

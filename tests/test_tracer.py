@@ -333,16 +333,16 @@ def test_sector_counts_match_types_on_worked_jets():
         for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
             field = build_geometric_bde(jet, kind)
             analysis = cubic_analysis(lift(field, CHART_Q))
-            for i, data in enumerate(analysis.per_root):
-                count = local_sector_count(field, analysis, i)
+            counts = local_sector_counts(field, analysis)
+            for i, (count, data) in enumerate(zip(counts, analysis.per_root)):
                 assert count.matches(data.lifted_type), (jet, kind, i)
                 assert count.sectors == (4 if data.lifted_type == "saddle" else 2)
 
 
 def test_mixed_batch_rows_match_one_row_batches():
-    """Rows of one batch (both charts, both time directions, each with its
-    own probe ball and its chart's singular set) follow exactly the
-    trajectory they follow alone."""
+    """Seeds of one batch (both charts, each with its own probe ball and its
+    chart's singular set) follow, both ways, exactly the trajectories they
+    follow alone."""
     field = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(field, CHART_Q))
     core = field.core
@@ -351,53 +351,75 @@ def test_mixed_batch_rows_match_one_row_batches():
     assert {c.q for c in circles} == {True, False}
     # (state, chart q, step, ball center, land, exit, transform): probes of
     # every saddle, plus a fiber seed that runs into the singular points
-    rows = [(c.internal[k], c.q, d * c.rho / 60.0, (0.0, c.root),
-             0.05 * c.rho, 3.0 * c.rho, c.inverse)
-            for c in circles for k in (0, 5, 11) for d in (1.0, -1.0)]
-    rows += [((0.0, 0.0, 0.0), True, d, (0.0, 0.0), 0.0, 1e9, np.eye(2))
-             for d in (1e-3, -1e-3)]
-    states, q, step, *ball = (np.array(col) for col in zip(*rows))
+    seeds = [(c.internal[k], c.q, c.rho / 60.0, (0.0, c.root),
+              0.05 * c.rho, 3.0 * c.rho, c.inverse)
+             for c in circles for k in (0, 5, 11)]
+    seeds += [((0.0, 0.0, 0.0), True, 1e-3, (0.0, 0.0), 0.0, 1e9, np.eye(2))]
+    states, q, step, *ball = (np.array(col) for col in zip(*seeds))
     options = dict(max_steps=3000, singular_stop=2e-3,
                    singular={CHART_Q: analysis.roots,
                              CHART_P: [1.0 / r for r in analysis.roots]})
     mixed = _integrate_batch(core, states, q, step=step, ball=tuple(ball),
                              **options)
     assert set(mixed.status) == {"exited", "singular_point", "step_cap"}
-    for r in range(len(rows)):
-        one = _integrate_batch(core, states[r:r + 1], q[r:r + 1],
-                               step=step[r:r + 1],
-                               ball=tuple(x[r:r + 1] for x in ball), **options)
-        assert (mixed.status[r], mixed.steps[r]) == (one.status[0], one.steps[0])
-        assert np.array_equal(mixed.final[r], one.final[0])
+    n = len(seeds)
+    for i in range(n):
+        one = _integrate_batch(core, states[i:i + 1], q[i:i + 1],
+                               step=step[i:i + 1],
+                               ball=tuple(x[i:i + 1] for x in ball), **options)
+        halves = [i, n + i]      # backward, forward
+        assert list(mixed.status[halves]) == list(one.status)
+        assert list(mixed.steps[halves]) == list(one.steps)
+        assert mixed.final[halves].tobytes() == one.final.tobytes()
 
 
 def test_recorded_batch_rows_match_one_row_batches():
-    """Recorded rows of one batch (both charts, both time directions) keep
-    exactly the path, status and step count they get alone, whether they
-    exit the box, hit the step cap or break down at a vertical direction.
-    At 600 steps 9 of the 64 rows break down, and for 4 of them the
-    re-projection moves the last sample."""
+    """Recorded seeds of one batch (both charts) keep, both ways, exactly
+    the curve, statuses and step counts they get alone, whether a half
+    exits the box, hits the step cap or breaks down at a vertical
+    direction.  At 600 steps 9 of the 64 halves break down, and for 4 of
+    them the re-projection moves the last sample."""
     field = build_geometric_bde(sample_generic_jet(4), FoliationKind.CHARACTERISTIC)
     config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=600)
     seeds = [c for c in trace_portrait(field, config).curves if c.seed_index >= 0]
-    q = np.array([c.chart == CHART_Q for c in seeds] * 2)
-    states = _swap_uv(np.array([c.samples[c.seed_sample] for c in seeds] * 2), q)
-    step = np.repeat([config.step, -config.step], len(seeds))
-    options = dict(max_steps=config.max_steps, box=config.box)
-    mixed = _integrate_batch(field.core, states, q, step=step, **options)
+    q = np.array([c.chart == CHART_Q for c in seeds])
+    states = _swap_uv(np.array([c.samples[c.seed_sample] for c in seeds]), q)
+    options = dict(step=config.step, max_steps=config.max_steps, box=config.box)
+    mixed = _integrate_batch(field.core, states, q, **options)
     assert set(q) == {True, False}
     assert set(mixed.status) == {"box_exit", "step_cap", "chart_breakdown"}
-    for r in range(len(states)):
-        one = _integrate_batch(field.core, states[r:r + 1], q[r:r + 1],
-                               step=step[r:r + 1], **options)
-        assert (mixed.status[r], mixed.steps[r]) == (one.status[0], one.steps[0])
-        path, alone = mixed.paths[r], one.paths[0]
-        assert path.shape == alone.shape == (mixed.steps[r] + 1, 3)
-        assert path.tobytes() == alone.tobytes()
-        # a path runs from the seed to the row's final state (for a broken
-        # row, its re-projected last sample)
-        assert path[0].tobytes() == states[r].tobytes()
-        assert path[-1].tobytes() == mixed.final[r].tobytes()
+    n = len(seeds)
+    sizes = mixed.steps[:n] + 1 + mixed.steps[n:]
+    ends = np.cumsum(sizes)
+    for i in range(n):
+        one = _integrate_batch(field.core, states[i:i + 1], q[i:i + 1], **options)
+        halves = [i, n + i]      # backward, forward
+        assert list(mixed.status[halves]) == list(one.status)
+        assert list(mixed.steps[halves]) == list(one.steps)
+        curve, alone = mixed.samples[ends[i] - sizes[i]:ends[i]], one.samples
+        assert curve.shape == alone.shape == (sizes[i], 3)
+        assert curve.tobytes() == alone.tobytes()
+        # a curve runs from the backward half's final state (for a broken
+        # half, its re-projected last sample) through the seed to the
+        # forward half's
+        assert curve[mixed.steps[i]].tobytes() == states[i].tobytes()
+        assert curve[[0, -1]].tobytes() == mixed.final[halves].tobytes()
+
+
+def test_seed_sample_is_the_backward_halfs():
+    """A half rejected as wild at its first step logs its seed re-projected
+    onto M; the joined curve's seed sample is the backward half's entry,
+    here the seed itself, never the forward half's re-projection."""
+    field = BdeField(Poly2(), Poly2.const(0.5),
+                     Poly2.const(-1000.0) + Poly2.monomial(1, 0, -10.0))
+    seed = (-4e-6, 0.0, 999.999961)
+    (curve, *_), _ = _trace_worklist(
+        field, [(CHART_P, seed, False)],
+        TraceConfig(box=0.5, step=1e-5, max_steps=50), {})
+    assert (curve.termination_backward, curve.termination) \
+        == ("step_cap", "chart_breakdown")
+    assert curve.seed_sample == len(curve) - 1 == 50   # no forward step taken
+    assert curve.samples[curve.seed_sample].tobytes() == np.array(seed).tobytes()
 
 
 def _curve_bytes(curve):
