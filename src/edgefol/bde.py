@@ -258,7 +258,7 @@ class LiftedEquation:
     """A BDE lifted to one affine chart of the direction line."""
 
     bde: BdeField
-    chart: str = CHART_Q
+    chart: str
 
     def __post_init__(self):
         if self.chart not in DUAL:
@@ -287,7 +287,7 @@ class LiftedEquation:
         return (2 * cu, 2 * (bu + cv), 2 * bv)
 
 
-def lift(bde: BdeField, chart: str = CHART_Q) -> LiftedEquation:
+def lift(bde: BdeField, chart: str) -> LiftedEquation:
     return LiftedEquation(bde, chart)
 
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -25,20 +23,6 @@ from .verify import (
     run_survey,
     run_verify,
 )
-
-logger = logging.getLogger("edgefol")
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging():
-    level = os.environ.get("EDGEFOL_LOG", "warn").lower()
-    if level not in _LOG_LEVELS:
-        level = "warn"
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logger.setLevel(_LOG_LEVELS[level])
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle suites")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--out", default=None, help="also write report here")
 
@@ -95,7 +78,7 @@ def _add_trace_args(sub):
 
 def _validate_numeric(args):
     for name in ("box", "step", "seeds_per_side", "max_steps", "trials",
-                 "workers", "tol"):
+                 "workers"):
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
@@ -141,11 +124,10 @@ def _cmd_classify(args) -> int:
 def _cmd_trace(args) -> int:
     jet, _kind, config, bde, classification = _trace_setup(args)
     portrait = trace_portrait(bde, config)
-    logger.info("traced %d curves (%d warnings)", len(portrait.curves),
-                portrait.warnings)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(curves_to_csv(portrait, jet))
     print(f"wrote {args.out}: {len(portrait.curves)} curves, "
+          f"{portrait.warnings} warnings, "
           f"top_class {classification.top_class.value}")
     return 0
 
@@ -179,7 +161,7 @@ def _write_report(text, out):
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(args.trials, args.seed, args.tol, args.workers)
+    report = run_verify(args.trials, args.seed, args.workers)
     _write_report(format_verify_report(report), args.out)
     return 0 if report.passed else 1
 
@@ -200,7 +182,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -59,7 +59,7 @@ class SurfaceEval:
     partials: dict
 
 
-def eval_surface(jet: EdgeJet, u, v, order: int = 1) -> SurfaceEval:
+def eval_surface(jet: EdgeJet, u, v, order: int) -> SurfaceEval:
     """Evaluate f and all partials d^{i+j} f / du^i dv^j with i+j <= order.
 
     Exact polynomial differentiation; order is capped at 6.

@@ -26,19 +26,19 @@ SVG_NS = "http://www.w3.org/2000/svg"
 
 @dataclass(frozen=True)
 class RenderStyle:
-    """Stroke and camera settings for portrait rendering."""
+    """Camera settings; the stroke, colour and size attributes are fixed."""
 
-    curve_width: float = 0.8
-    separatrix_width: float = 1.1
-    discriminant_width: float = 1.0
-    edge_width: float = 1.6
-    curve_color: str = "#2b6cb0"
-    separatrix_color: str = "#c53030"
-    discriminant_color: str = "#718096"
-    edge_color: str = "#1a202c"
-    marker_color: str = "#c53030"
-    marker_radius: float = 2.5
-    size_px: int = 640
+    curve_width = 0.8
+    separatrix_width = 1.1
+    discriminant_width = 1.0
+    edge_width = 1.6
+    curve_color = "#2b6cb0"
+    separatrix_color = "#c53030"
+    discriminant_color = "#718096"
+    edge_color = "#1a202c"
+    marker_color = "#c53030"
+    marker_radius = 2.5
+    size_px = 640
     camera_direction: tuple = (0.35, -0.55, 0.76)
     camera_up: tuple = (0.0, 0.0, 1.0)
 
@@ -82,7 +82,7 @@ def _thin(points_xy):
     return points_xy[idx]
 
 
-def _polyline(points_xy, *, color, width, dashed=False, cls="curve") -> str:
+def _polyline(points_xy, *, cls, color, width, dashed=False) -> str:
     xy = _thin(np.asarray(points_xy)) * (1.0, -1.0) + 0.0   # -0.0 -> 0.0
     pts = " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist())
     dash = ' stroke-dasharray="6 4"' if dashed else ""

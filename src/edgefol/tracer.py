@@ -427,7 +427,7 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
     return curves, warnings
 
 
-def trace_portrait(bde: BdeField, config: TraceConfig = TraceConfig()) -> Portrait:
+def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
     """Phase portrait of a BDE.
 
     Seeds a uniform grid on each box side (one seed per direction branch),

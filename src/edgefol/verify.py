@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +47,7 @@ from .poly import Poly2
 from .tracer import local_sector_counts
 
 _GEOMETRIC_KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
+CLOSED_FORM_TOL = 1e-8   # relative bound of closed_form_agreement
 
 
 def _trial_seed(master: int, suite: int, index: int) -> int:
@@ -58,7 +59,7 @@ class SuiteResult:
     name: str
     trials: int
     failures: int
-    worst: float = 0.0
+    worst: float
 
     @property
     def passed(self) -> bool:
@@ -69,9 +70,8 @@ class SuiteResult:
 class VerifyReport:
     seed: int
     trials: int
-    tolerance: float
-    suites: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
+    suites: list
+    discrepancies: list
 
     @property
     def passed(self) -> bool:
@@ -87,7 +87,6 @@ def _rel_err(a: float, b: float) -> float:
 
 def _closed_form_trial(args):
     master, index, tol = args
-    tol = max(tol, 1e-10)
     jet = sample_generic_jet(_trial_seed(master, 1, index), "edge_degenerate")
     worst = 0.0
     for kind in _GEOMETRIC_KINDS:
@@ -209,10 +208,10 @@ def _impossible_trial(args):
     return True, 0.0
 
 
-# (name, trial function, (trial argument, trial cap)): an argument of None
-# passes the run's tolerance, and a cap of None runs every requested trial
+# (name, trial function, (trial argument, trial cap)): a cap of None runs
+# every requested trial
 _SUITES = (
-    ("closed_form_agreement", _closed_form_trial, (None, None)),
+    ("closed_form_agreement", _closed_form_trial, (CLOSED_FORM_TOL, None)),
     ("discriminant_identity", _discriminant_trial, (1e-12, None)),
     ("eigenvalue_jacobian", _eigenvalue_trial, (1e-6, 200)),
     ("tangency_identity", _tangency_trial, (10_000, 100)),   # points per trial
@@ -299,26 +298,23 @@ def _suite_trials(name: str, trials: int) -> int:
     return trials if cap is None else min(trials, cap)
 
 
-def run_verify(trials: int, seed: int, tolerance: float = 1e-8,
-               workers: int = 1) -> VerifyReport:
+def run_verify(trials: int, seed: int, workers: int = 1) -> VerifyReport:
     """Run every oracle suite and collect a deterministic report."""
-    report = VerifyReport(seed=seed, trials=trials, tolerance=tolerance)
+    suites = []
     for name, fn, (arg, _) in _SUITES:
         n = _suite_trials(name, trials)
-        arg = tolerance if arg is None else arg
         results = _run_trials(fn, [(seed, i, arg) for i in range(n)], workers)
         failures = sum(1 for ok, _ in results if not ok)
         worst = max((w for _, w in results), default=0.0)
-        report.suites.append(SuiteResult(name, n, failures, worst))
-    report.discrepancies = documented_discrepancies()
-    return report
+        suites.append(SuiteResult(name, n, failures, worst))
+    return VerifyReport(seed, trials, suites, documented_discrepancies())
 
 
 def format_verify_report(report: VerifyReport) -> str:
     lines = [
         "edgefol verification report",
         f"seed={report.seed} trials={report.trials} "
-        f"tolerance={report.tolerance:.3g}",
+        f"tolerance={CLOSED_FORM_TOL:.3g}",
         "",
         f"{'suite':<28}{'trials':>8}{'failures':>10}{'worst':>12}  status",
     ]
@@ -347,7 +343,7 @@ def _survey_trial(args):
     return tuple(pair)
 
 
-def run_survey(trials: int, seed: int, workers: int = 1):
+def run_survey(trials: int, seed: int, workers: int):
     """Class frequencies of the two Type-2 foliations on random admissible
     jets, plus their co-occurrence counts.  Exploratory: no pass/fail."""
     results = _run_trials(_survey_trial, [(seed, i) for i in range(trials)],

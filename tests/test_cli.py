@@ -7,8 +7,13 @@ import warnings
 import pytest
 
 from edgefol.cli import main
-from edgefol.foliations import FoliationKind, classify_edge_foliation
+from edgefol.foliations import (
+    FoliationKind,
+    build_geometric_bde,
+    classify_edge_foliation,
+)
 from edgefol.jets import validate_jet
+from edgefol.tracer import TraceConfig, trace_portrait
 
 CUSP_JET = {"a20": 0.0, "a30": 0.0, "b20": 1.0, "b30": 0.0, "b12": 0.0,
             "b03": 1.0}
@@ -69,22 +74,25 @@ def test_config_errors_exit_2(jet_file, capsys):
     ["trace", "--step", "nan"],
     ["render", "--camera", "nan,0,1"],
     ["render", "--up", "0,inf,1"],
-    ["verify", "--tol", "nan"],
-    ["verify", "--tol", "inf"],
 ])
 def test_non_finite_numbers_exit_2(jet_file, tmp_path, capsys, argv):
     command, *flags = argv
-    if command == "verify":
-        argv = [command, "--trials", "1", *flags]
-    else:
-        out = tmp_path / ("p.svg" if command == "render" else "p.csv")
-        argv = [command, "--jet", jet_file(SADDLE_JET), "--foliation",
-                "asymptotic", "--seeds-per-side", "2", "--max-steps", "10",
-                "--out", str(out), *flags]
+    out = tmp_path / ("p.svg" if command == "render" else "p.csv")
+    argv = [command, "--jet", jet_file(SADDLE_JET), "--foliation",
+            "asymptotic", "--seeds-per-side", "2", "--max-steps", "10",
+            "--out", str(out), *flags]
     assert main(["--json", *argv]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == "ConfigError"
     assert "finite" in error["message"]
+
+
+def test_verify_has_no_tolerance_option(capsys):
+    # the closed-form bound is fixed at 1e-8; no flag can loosen it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "1", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_invalid_jet_exits_1_with_json_error(jet_file, capsys):
@@ -146,6 +154,12 @@ def test_trace_writes_csv(jet_file, tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("t,u,v,p,x,y,z,curve_id,separatrix")
     assert len(text.strip().split("\n")) > 100
+    portrait = trace_portrait(
+        build_geometric_bde(validate_jet(SADDLE_JET), FoliationKind.ASYMPTOTIC),
+        TraceConfig(max_steps=800, seeds_per_side=6))
+    assert capsys.readouterr().out == (
+        f"wrote {out}: {len(portrait.curves)} curves, "
+        f"{portrait.warnings} warnings, top_class ThreeSaddles\n")
 
 
 def test_render_writes_svgs(jet_file, tmp_path, capsys):
@@ -235,20 +249,20 @@ def test_survey_deterministic_and_reports_frequencies(capsys):
     assert "co-occurrence" in out1
 
 
+@pytest.mark.parametrize("argv, title", [
+    (["verify", "--trials", "2", "--seed", "4"], "verification"),
+    (["survey", "--trials", "12", "--seed", "4"], "survey"),
+])
+def test_report_out_file_holds_the_printed_bytes(tmp_path, capsys, argv, title):
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"edgefol {title} report\n")
+    assert out.read_bytes() == printed.encode()
+
+
 def test_unknown_foliation_rejected(jet_file, capsys):
     rc = main(["classify", "--jet", jet_file(CUSP_JET),
                "--foliation", "bogus"])
     assert rc == 2
 
-
-def test_log_level_env_var(jet_file, capsys, monkeypatch):
-    import importlib
-    import logging
-    monkeypatch.setenv("EDGEFOL_LOG", "debug")
-    from edgefol import cli as cli_module
-    cli_module._setup_logging()
-    assert logging.getLogger("edgefol").getEffectiveLevel() <= logging.DEBUG
-    rc = cli_module.main(["classify", "--jet", jet_file(CUSP_JET),
-                          "--foliation", "lc"])
-    assert rc == 0
-    capsys.readouterr()

@@ -120,6 +120,14 @@ def test_degenerate_camera_rejected():
         style.camera_frame()
 
 
+def test_style_sets_only_the_camera():
+    style = RenderStyle(camera_direction=(1.0, 0.0, 0.0))
+    assert style.camera_direction == (1.0, 0.0, 0.0)
+    assert style.size_px == RenderStyle.size_px == 640
+    with pytest.raises(TypeError):
+        RenderStyle(curve_width=1.0)
+
+
 def test_surface_view_renders_and_emphasizes_edge(three_saddles_portrait):
     curves3d = project_to_surface(THREE_SADDLES_JET, three_saddles_portrait)
     svg = surface_view_to_svg(curves3d)
@@ -160,7 +168,7 @@ def _fmt_reference(x):
     return "0" if x == 0 else f"{x:.6g}"
 
 
-def _polyline_reference(points_xy, *, color, width, dashed=False, cls="curve"):
+def _polyline_reference(points_xy, *, cls, color, width, dashed=False):
     pts = " ".join(f"{_fmt_reference(x)},{_fmt_reference(-y)}"
                    for x, y in render._thin(np.asarray(points_xy)))
     dash = ' stroke-dasharray="6 4"' if dashed else ""

@@ -12,8 +12,11 @@ from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
 from edgefol.render import portrait_to_svg
+from edgefol import tracer
 from edgefol.tracer import (
+    TERM_CAP,
     CuspClass,
+    SectorCount,
     TraceConfig,
     _integrate_batch,
     _probe_circle,
@@ -487,6 +490,28 @@ def test_sector_counts_nearly_defective_node():
     counts = local_sector_counts(field, analysis)
     assert [c.matches(r.lifted_type) for c, r in zip(counts, analysis.per_root)] \
         == [True] * 3
+
+
+def test_step_capped_probes_are_classified_by_their_weak_coordinate(monkeypatch):
+    # the one Type-2 root of sample_generic_jet(200..1199, "edge_degenerate")
+    # whose probes hit the 24,000-step cap: 2 of its 32 probe rows creep
+    # along the weak manifold.  Without the capped-probe rule the count
+    # reads ambiguous, exits_both 14.
+    jet = sample_generic_jet(1076, "edge_degenerate")
+    field = build_geometric_bde(jet, FoliationKind.CHARACTERISTIC)
+    analysis = cubic_analysis(lift(field, CHART_Q))
+    assert [round(r, 3) for r in analysis.roots] == [1655.316]
+    assert [r.lifted_type for r in analysis.per_root] == ["saddle"]
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(_integrate_batch(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tracer, "_integrate_batch", recording)
+    assert local_sector_counts(field, analysis) \
+        == [SectorCount("saddle", 0, 0, 16, 16)]
+    assert int(np.sum(results[0].status == TERM_CAP)) == 2
 
 
 def test_sector_counts_find_nodes():
