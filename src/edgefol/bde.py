@@ -13,15 +13,15 @@ The lifted field on the surface M = {F = 0} is, per chart,
 
 both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
-chart-p equation of the u/v swapped tensor: a relabelling, which `SWAP_UV`
-applies to the nine values of (A, B, C) and their first derivatives.  That
+chart-p equation of the u/v swapped tensor (C, B, A): a relabelling.  That
 chart rule lives here alone: `DUAL` names the other chart,
 `CubicAnalysis.roots_in` reads the singular roots there, `LiftedEquation`
 reads either chart's cubic through `SWAP_UV`, and one compiled evaluator,
-`_ChartCore`, computes F, grad F and xi for both charts from those nine
-polynomials: the tracer's RK4 loop, the fiber Newton solve, the
-differenced Jacobian and the tangency oracle of `verify` all read it.  A
-`BdeField` owns its evaluator (`BdeField.core`), compiled once on first use.
+`_ChartCore`, applies the swap once, when it derives F, F_w, F_x and F_p
+of both charts into one table of monomials over the internal coordinates.
+The tracer's RK4 loop, the fiber Newton solve, the differenced Jacobian
+and the tangency oracle of `verify` all read it.  A `BdeField` owns its
+evaluator (`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -50,7 +50,7 @@ from .errors import (
     InvariantViolation,
 )
 from .invariants import cubic_discriminant
-from .poly import CompiledPolySet, Poly2
+from .poly import Poly2
 
 CASE_TOL = 1e-10
 DISCRIMINANT_TOL = 1e-9
@@ -169,6 +169,18 @@ CHART_P = "p"
 CHART_Q = "q"
 DUAL = {CHART_P: CHART_Q, CHART_Q: CHART_P}   # the other affine chart
 SWAP_UV = [2, 1, 0, 8, 7, 6, 5, 4, 3]   # the nine values of the u/v swap
+EVAL_BLOCK = 2048    # rows per table evaluation: bounds its temporaries
+
+
+def _chart_columns(a: Poly2, b: Poly2, c: Poly2):
+    """F = a p^2 + 2b p + c of a tensor over (w, x) = (u, v), and F_w, F_x,
+    F_p: each a map (i, j, k) -> exact coefficient of w^i x^j p^k."""
+    by_power = ((c, 2 * b, a),
+                (c.diff("u"), 2 * b.diff("u"), a.diff("u")),
+                (c.diff("v"), 2 * b.diff("v"), a.diff("v")),
+                (2 * b, 2 * a))
+    return [{(i, j, k): coeff for k, f in enumerate(fs)
+             for (i, j), coeff in f.terms.items()} for fs in by_power]
 
 
 class _ChartCore:
@@ -180,41 +192,48 @@ class _ChartCore:
     `BdeField.core` that compiles it once per BDE.  State rows are internal
     coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q,
     since the chart-q equation of (A, B, C) is the chart-p equation of the
-    u/v swapped tensor.  The nine polynomials (A, B, C, A_u, .., C_v) are
-    evaluated at each row's public (u, v); chart-q rows (mask `q`) read them
-    through `SWAP_UV`.
+    u/v swapped tensor.  That swap is applied once, here: F, F_w, F_x and
+    F_p of both charts are derived exactly and stored as one table over a
+    shared list of monomials w^i x^j p^k (a column per chart and value).
     """
 
     def __init__(self, bde: BdeField):
-        abc = [bde.A, bde.B, bde.C]
-        self.cset = CompiledPolySet(
-            abc + [f.diff(var) for var in ("u", "v") for f in abc])
-
-    def _values(self, S, q):
-        if np.ndim(q) == 0:          # one chart for every row: no per-row select
-            if q:
-                return self.cset.values(S[:, 1], S[:, 0])[SWAP_UV]
-            return self.cset.values(S[:, 0], S[:, 1])
-        vals = self.cset.values(np.where(q, S[:, 1], S[:, 0]),
-                                np.where(q, S[:, 0], S[:, 1]))
-        return np.where(q, vals[SWAP_UV], vals)
-
-    @staticmethod
-    def _F(vals, p):
-        A, B, C = vals[:3]
-        return (A * p + 2.0 * B) * p + C
-
-    @staticmethod
-    def _gradient(vals, p):
-        """(F_u, F_v, F_p) along the internal columns (w, x, p)."""
-        A, B, _, Au, Bu, Cu, Av, Bv, Cv = vals
-        return ((Au * p + 2.0 * Bu) * p + Cu,
-                (Av * p + 2.0 * Bv) * p + Cv,
-                2.0 * (A * p + B))
+        swapped = [Poly2({(j, i): c for (i, j), c in f.terms.items()})
+                   for f in (bde.C, bde.B, bde.A)]
+        columns = _chart_columns(bde.A, bde.B, bde.C) + _chart_columns(*swapped)
+        monomials = sorted(set().union(*columns))
+        self.table = np.array([[float(col.get(m, 0)) for col in columns]
+                               for m in monomials]).reshape(-1, 8)
+        exponents = np.array(monomials, dtype=np.intp).reshape(-1, 3)
+        self.degree = int(exponents.max(initial=0))
+        # each monomial's three factors, as rows of the power table below
+        self.factors = (3 * exponents + np.arange(3)).T.copy()
 
     def F_and_gradient(self, S, q):
-        vals, p = self._values(S, q), S[:, 2]
-        return (self._F(vals, p), *self._gradient(vals, p))
+        """(F, F_w, F_x, F_p) per internal row; `q` is a chart-q mask or one
+        chart for every row.  Rows are evaluated in blocks of EVAL_BLOCK,
+        each on its own: a row's bits do not depend on its batch."""
+        out = np.empty((8, len(S)))
+        for lo in range(0, len(S), EVAL_BLOCK):
+            block = S[lo:lo + EVAL_BLOCK]
+            # powers[e * 3 + c] = (column c of the rows) ** e
+            powers = np.empty((self.degree + 1, 3, len(block)))
+            powers[0] = 1.0
+            powers[1:] = block.T
+            np.multiply.accumulate(powers, axis=0, out=powers)
+            powers = powers.reshape(-1, len(block))
+            # the monomials, multiplied in place: one (3, monomials, rows)
+            # gather would triple a block's peak memory
+            i, j, k = self.factors
+            monomials = powers[i]
+            monomials *= powers[j]
+            monomials *= powers[k]
+            # einsum, not `@`: BLAS sums a row differently in other batches
+            np.einsum("mr,mc->cr", monomials, self.table,
+                      out=out[:, lo:lo + EVAL_BLOCK])
+        if np.ndim(q) == 0:          # one chart for every row: no per-row select
+            return tuple(out[4:] if q else out[:4])
+        return tuple(np.where(q, out[4:], out[:4]))
 
     @staticmethod
     def xi(p, Fu, Fv, Fp):
@@ -225,19 +244,18 @@ class _ChartCore:
 
     def rhs(self, S, q, normalize=False):
         """`xi` per internal row, scaled to unit length if `normalize`."""
-        p = S[:, 2]
-        out = self.xi(p, *self._gradient(self._values(S, q), p))
+        out = self.xi(S[:, 2], *self.F_and_gradient(S, q)[1:])
         if normalize:
             norms = np.sqrt(np.einsum("ij,ij->i", out, out))
             out /= (norms + 1e-300)[:, None]
         return out
 
     def residual(self, S, q):
-        return self._F(self._values(S, q), S[:, 2])
+        return self.F_and_gradient(S, q)[0]
 
     def residual_and_fp(self, S, q):
-        vals, p = self._values(S, q), S[:, 2]
-        return self._F(vals, p), self._gradient(vals, p)[2]
+        F, _, _, Fp = self.F_and_gradient(S, q)
+        return F, Fp
 
     def project_gradient(self, S, q):
         """One Newton step for F = 0 along the full gradient (in place).

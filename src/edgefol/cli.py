@@ -8,7 +8,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, EdgefolError
+from .errors import ConfigError, EdgefolError, EmptyPortrait
 from .foliations import (
     build_geometric_bde,
     classify_edge_foliation,
@@ -104,6 +104,14 @@ def _trace_setup(args):
     return jet, kind, config, bde, classification
 
 
+def _nonempty_portrait(bde, config):
+    """The traced portrait; an empty one raises before any file is opened."""
+    portrait = trace_portrait(bde, config)
+    if not portrait.curves:
+        raise EmptyPortrait("portrait contains no curves")
+    return portrait
+
+
 def _parse_vec3(text, flag):
     try:
         parts = tuple(float(x) for x in text.split(","))
@@ -123,7 +131,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_trace(args) -> int:
     jet, _kind, config, bde, classification = _trace_setup(args)
-    portrait = trace_portrait(bde, config)
+    portrait = _nonempty_portrait(bde, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(curves_to_csv(portrait, jet))
     print(f"wrote {args.out}: {len(portrait.curves)} curves, "
@@ -139,7 +147,7 @@ def _cmd_render(args) -> int:
         style = replace(style, camera_direction=_parse_vec3(args.camera, "--camera"))
     if args.up:
         style = replace(style, camera_up=_parse_vec3(args.up, "--up"))
-    portrait = trace_portrait(bde, config)
+    portrait = _nonempty_portrait(bde, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(portrait_to_svg(portrait, style,
                                  top_class=classification.top_class.value))

@@ -4,7 +4,7 @@ All surface geometry and BDE coefficients are small polynomials.  Keeping them
 as sparse coefficient maps makes every quotient and Taylor coefficient exact
 (ints and Fractions pass through untouched) and sidesteps finite differencing
 entirely.  A compiled dense form backs fast vectorised evaluation for the
-curve tracer.
+discriminant locus and the surface map.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Curves are integrated in ambient (u, v, p) with classical fixed-step RK4 on
 the lifted field, which is exactly tangent to every level set of F, so the
 on-surface residual is pure roundoff; a periodic Newton projection in p mops
 that up.  The field comes from the compiled evaluator `bde._ChartCore`,
-which serves both charts from the nine compiled values of (A, B, C), read
-through one permutation in chart q; every function here that has the BDE
-reads it as `bde.core`, compiled once per BDE.  Seeds and chart
+which serves both charts from one table of monomials over the internal
+coordinates; every function here that has the BDE reads it as
+`bde.core`, compiled once per BDE.  Seeds and chart
 continuations are internal rows: (u, v, p) in chart p, (v, u, q) in chart
 q.  `_integrate_batch` runs every seed both ways, each with its own chart,
 step and stops, so a request integrates its charts, time directions and
@@ -168,7 +168,8 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
     and records no samples.  Any other batch logs each step's samples and
     joins each seed's two halves at the end: the backward half reversed, the
     seed, then the forward half.  Terminated rows freeze; the loop ends when
-    none remain.
+    none remain.  The loop carries only the active rows' states and names
+    statuses only at a step where some row stops.
     """
     S = np.tile(np.asarray(seeds, dtype=float), (2, 1))
     n = len(S) // 2
@@ -205,16 +206,17 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
                            (np.concatenate([x, x]) for x in ball)))
     r = per_row
     anchor = S.copy()   # each row's last scheduled state, indexed like S
+    cur = S.copy()      # the active rows' states; S takes a row's when it stops
     for k in range(1, max_steps + 1):
         if active.size == 0:
             break
         qa = r["q"]
-        cur = S[active]
         k1 = core.rhs(cur, qa, probe)
         k2 = core.rhs(cur + r["half_h"] * k1, qa, probe)
         k3 = core.rhs(cur + r["half_h"] * k2, qa, probe)
         k4 = core.rhs(cur + r["h"] * k3, qa, probe)
         nxt = cur + r["sixth_h"] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w, x, p = nxt.T     # views: they see the in-place fixes below
 
         move = np.abs(nxt - cur)
         # scheduled projection, plus a safety projection wherever the chart
@@ -224,43 +226,43 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
         scheduled = k % project_every == 0
         if scheduled and probe:
             core.project_gradient(nxt, qa)
-        elif scheduled or stiff.any():
+        elif scheduled or np.count_nonzero(stiff):
             rows = slice(None) if scheduled else stiff
             part = nxt[rows]
             _newton_p(core, part, qa[rows])
             nxt[rows] = part
-        nonfinite = ~np.all(np.isfinite(nxt), axis=1)
+        nonfinite = ~(np.isfinite(w) & np.isfinite(x) & np.isfinite(p))
         wild = (
             nonfinite
-            | (np.abs(nxt[:, 2]) > CHART_BOUND)
+            | (np.abs(p) > CHART_BOUND)
             | (move[:, 2] > np.maximum(r["wild_move"],
                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
             | (np.maximum(move[:, 0], move[:, 1]) > r["cap"])
         )
         # a wild row keeps its last accepted sample, re-projected onto M in p
-        if wild.any():
+        if np.count_nonzero(wild):
             frozen = cur[wild]
             _newton_p(core, frozen, qa[wild])
             nxt[wild] = frozen
-        out = np.abs(nxt[:, :2]).max(axis=1) > box
+        out = np.maximum(np.abs(w), np.abs(x)) > box
         leaving = out & ~wild
-        if leaving.any():
+        if np.count_nonzero(leaving):
             nxt[leaving] = _clip_box_exits(core, nxt[leaving], cur[leaving],
                                            qa[leaving], box)
         at = k - wild               # a wild row keeps its step count
-        S[active] = nxt
-        steps_used[active] = at
         if log is not None:
             log.append((active, at, nxt, wild))
 
+        # nonfinite rows are wild, so `stopped` needs only the later tests
         stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART), (out, TERM_BOX)]
+        stopped = wild | out
         if sing.size:
-            d2 = (nxt[:, 0, None] ** 2 + nxt[:, 1, None] ** 2
-                  + (nxt[:, 2, None] - r["sing"]) ** 2)
+            d2 = (w[:, None] ** 2 + x[:, None] ** 2
+                  + (p[:, None] - r["sing"]) ** 2)
             stops.append((d2.min(axis=1) < singular_stop**2, TERM_SINGULAR))
         if probe:
-            dw = nxt[:, 0] - r["center"][:, 0]
-            dp = nxt[:, 2] - r["center"][:, 1]
+            dw = w - r["center"][:, 0]
+            dp = p - r["center"][:, 1]
             m = r["transform"]
             dw, dp = (m[:, 0, 0] * dw + m[:, 0, 1] * dp,
                       m[:, 1, 0] * dw + m[:, 1, 1] * dp)
@@ -273,14 +275,23 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
             same = nxt.view(np.int64) == anchor[active].view(np.int64)
             stops.append((same.all(axis=1), TERM_STALLED))
             anchor[active] = nxt     # a copy: `nxt` itself is logged
-        done = np.zeros(len(nxt), dtype=bool)
+        for mask, _ in stops[3:]:
+            stopped |= mask
+        if not np.count_nonzero(stopped):
+            cur = nxt
+            continue
+        named = np.zeros(len(nxt), dtype=bool)
         for mask, term in stops:     # the first test a row meets names its stop
-            status[active[mask & ~done]] = term
-            done |= mask
-        if done.any():
-            active = active[~done]
-            r = {name: x[active] for name, x in per_row.items()}
+            status[active[mask & ~named]] = term
+            named |= mask
+        S[active[stopped]] = nxt[stopped]
+        steps_used[active[stopped]] = at[stopped]
+        going = ~stopped
+        active, cur = active[going], nxt[going]
+        r = {name: col[active] for name, col in per_row.items()}
 
+    S[active] = cur
+    steps_used[active] = max_steps
     status[active] = TERM_CAP
     samples = None
     if log is not None:

@@ -23,6 +23,7 @@ from edgefol.bde import (
     solve_cubic_real,
     solve_fiber_coordinate,
     unique_direction_at_origin,
+    EVAL_BLOCK,
     _ChartCore,
 )
 from edgefol.errors import (
@@ -176,6 +177,81 @@ def test_chart_q_is_chart_p_of_the_swapped_tensor():
     for field in fields:
         assert lift(field, CHART_P).origin_jet() \
             == lift(_swap_tensor(field), CHART_Q).origin_jet()
+
+
+def test_table_rows_do_not_depend_on_their_batch():
+    """`F_and_gradient` evaluates each row on its own: a row's bits are the
+    same in a batch of 5,000 (three blocks), in a block evaluated apart, in
+    a batch of 64, 7 or 1, and with a scalar chart in place of the mask."""
+    rng = np.random.default_rng(15)
+    for seed, scenario in ((0, "generic"), (1, "edge_degenerate"),
+                           (2, "edge_degenerate")):
+        jet = sample_generic_jet(seed, scenario)
+        for kind in FoliationKind:
+            core = build_geometric_bde(jet, kind).core
+            S = rng.uniform(-0.5, 0.5, (5000, 3)) * (1.0, 1.0, 10.0)
+            q = rng.random(5000) < 0.5
+            full = np.array(core.F_and_gradient(S, q))
+            by_chart = [np.array(core.F_and_gradient(S, chart))
+                        for chart in (False, True)]
+            assert np.where(q, by_chart[1], by_chart[0]).tobytes() \
+                == full.tobytes()
+            for n, rows in ((EVAL_BLOCK, 5000), (64, 640), (7, 140), (1, 40)):
+                for lo in range(0, rows, n):
+                    part = slice(lo, lo + n)
+                    got = np.array(core.F_and_gradient(S[part], q[part]))
+                    assert got.tobytes() == full[:, part].tobytes()
+                    for chart in (False, True):
+                        got = np.array(core.F_and_gradient(S[part], chart))
+                        assert got.tobytes() == by_chart[chart][:, part].tobytes()
+
+
+def _exact_columns(abc, dw, dx, u, v, p, sizes):
+    """(F, F_w, F_x, F_p) of F = a p^2 + 2b p + c at (u, v, p), exactly,
+    with w and x the variables `dw` and `dx`; with `sizes`, the sums of the
+    absolute values of their terms instead."""
+    def value(f):
+        if not sizes:
+            return f(u, v)
+        return sum(abs(k) * abs(u) ** i * abs(v) ** j
+                   for (i, j), k in f.terms.items())
+
+    p = abs(p) if sizes else p
+    columns = []
+    for d in (None, dw, dx):
+        a, b, c = (value(f.diff(d) if d else f) for f in abc)
+        columns.append(a * p * p + 2 * b * p + c)
+    a, b = value(abc[0]), value(abc[1])
+    return columns + [2 * a * p + 2 * b]
+
+
+def test_table_matches_exact_arithmetic():
+    """F, F_w, F_x and F_p from the float table agree with the exact values
+    of A p^2 + 2B p + C (chart p) and A + 2B q + C q^2 (chart q) and their
+    derivatives, at dyadic points, where the float input is exact."""
+    rng = np.random.default_rng(16)
+    points = [(Fraction(int(a), 16), Fraction(int(b), 16), Fraction(int(c), 4))
+              for a, b, c in zip(rng.integers(-8, 9, 40), rng.integers(-8, 9, 40),
+                                 rng.integers(-12, 13, 40))]
+    for kind in FoliationKind:
+        field = build_geometric_bde(EXACT_JET, kind)
+        for chart in (CHART_P, CHART_Q):
+            # the chart's tensor (a, b, c) and the variables of the internal
+            # columns (w, x)
+            if chart == CHART_P:
+                abc, dw, dx = (field.A, field.B, field.C), "u", "v"
+            else:
+                abc, dw, dx = (field.C, field.B, field.A), "v", "u"
+            for w, x, p in points:
+                u, v = (w, x) if chart == CHART_P else (x, w)
+                got = field.core.F_and_gradient(
+                    np.array([[float(w), float(x), float(p)]]), chart == CHART_Q)
+                exact = _exact_columns(abc, dw, dx, u, v, p, sizes=False)
+                sizes = _exact_columns(abc, dw, dx, u, v, p, sizes=True)
+                assert all(isinstance(e, (int, Fraction)) for e in exact)
+                for value, want, size in zip(got, exact, sizes):
+                    assert abs(Fraction(float(value[0])) - want) \
+                        <= Fraction(1e-13) * (1 + size)
 
 
 def test_delta_and_case_returns_the_discriminant_2jet():

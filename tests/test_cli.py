@@ -145,6 +145,24 @@ def test_overflowing_jet_classifies_degenerate_and_trace_exits_1(
         assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("command", ["trace", "render"])
+def test_empty_portrait_exits_1_and_writes_no_file(jet_file, tmp_path, capsys,
+                                                   command):
+    # the characteristic portrait of the worked jet at this size has no
+    # curve: its lifted node gets no seeds, and no seed point on the box
+    # sides has a real direction
+    path = jet_file(SADDLE_JET)
+    out, surface = tmp_path / "out", tmp_path / "surface.svg"
+    argv = ["--json", command, "--jet", path, "--foliation", "characteristic",
+            "--box", "0.15", "--seeds-per-side", "8", "--max-steps", "120",
+            "--out", str(out)]
+    if command == "render":
+        argv += ["--surface", str(surface)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "EmptyPortrait"
+    assert not out.exists() and not surface.exists()
+
+
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(["trace", "--jet", jet_file(SADDLE_JET), "--foliation",
@@ -201,7 +219,7 @@ def test_verify_report_bytes_pinned(capsys):
     assert main(["verify", "--trials", "6", "--seed", "3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == (
-        "79220ae28f1acd54084042fa2c83cec39136bb89c3f390ab842dd56f61b1f908")
+        "738fc80701f52a5d30477a755f68369d0a0e377a402e5d65a379fb56c82dd1b7")
 
 
 @pytest.mark.parametrize("workers, trials, cpus, pool", [

@@ -251,7 +251,7 @@ def test_three_saddles_output_bytes_pinned(three_saddles_portrait):
     assert hashlib.sha256(svg.encode()).hexdigest() == (
         "871b2bcd0eaf9aa5b9f7fea3e78320b065d2921733cfc02e5bb6e07472a4b6ce")
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "e086fe9865d1fe41f3adc9fd8b3a7150359bb3292857adb149cf3835c34aecde")
+        "00856077d75d12a6a8e295367671e944309665a6eb30a98601a0c3d982d65ac1")
 
 
 def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
@@ -275,4 +275,4 @@ def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
                                                  max_steps=300))
     assert {c.chart for c in portrait.separatrices} == {CHART_P}
     assert hashlib.sha256(curves_to_csv(portrait).encode()).hexdigest() == (
-        "0181a17e59e388299c81db7de5edd0fe317abcee7623fd36c5613b5e28011918")
+        "8955c591985e22b5ec798c6d69855d0768bb14400cefc43604ca78000d4c87c0")
