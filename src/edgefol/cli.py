@@ -147,6 +147,10 @@ def _cmd_render(args) -> int:
         style = replace(style, camera_direction=_parse_vec3(args.camera, "--camera"))
     if args.up:
         style = replace(style, camera_up=_parse_vec3(args.up, "--up"))
+    try:    # a degenerate camera fails before any tracing or file open
+        style.camera_frame()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     portrait = _nonempty_portrait(bde, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(portrait_to_svg(portrait, style,

@@ -69,16 +69,6 @@ class PropositionHypothesisViolated(EdgefolError):
         super().__init__("hypotheses violated: " + ", ".join(self.failed))
 
 
-# --- curve tracing ---
-
-class WindowTooSmall(EdgefolError):
-    """Not enough samples on each side of the requested parameter."""
-
-
-class FitIllConditioned(EdgefolError):
-    """Local polynomial fit is numerically unreliable."""
-
-
 # --- rendering / CLI ---
 
 class EmptyPortrait(EdgefolError):

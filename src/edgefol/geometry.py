@@ -18,8 +18,6 @@ from .errors import HigherTermsPresent
 from .jets import EdgeJet
 from .poly import Poly2
 
-MAX_EVAL_ORDER = 6
-
 
 @lru_cache(maxsize=512)
 def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:
@@ -49,39 +47,6 @@ def _half(jet):
     # v^2/2 written in the jet's own coefficient type (Fraction-safe)
     one = jet.b03 / jet.b03
     return one / 2
-
-
-@dataclass(frozen=True)
-class SurfaceEval:
-    """Point and partial derivatives of f at one (u, v)."""
-
-    point: tuple
-    partials: dict
-
-
-def eval_surface(jet: EdgeJet, u, v, order: int) -> SurfaceEval:
-    """Evaluate f and all partials d^{i+j} f / du^i dv^j with i+j <= order.
-
-    Exact polynomial differentiation; order is capped at 6.
-    """
-    if order > MAX_EVAL_ORDER:
-        raise ValueError(f"order {order} exceeds the cap {MAX_EVAL_ORDER}")
-    polys = surface_polynomials(jet)
-    partials = {}
-    layer = {(0, 0): polys}
-    partials[(0, 0)] = tuple(p(u, v) for p in polys)
-    for total in range(1, order + 1):
-        new_layer = {}
-        for (i, j), ps in layer.items():
-            for di, dj, var in ((1, 0, "u"), (0, 1, "v")):
-                key = (i + di, j + dj)
-                if key in new_layer:
-                    continue
-                new_layer[key] = tuple(p.diff(var) for p in ps)
-        for key, ps in new_layer.items():
-            partials[key] = tuple(p(u, v) for p in ps)
-        layer = new_layer
-    return SurfaceEval(point=partials[(0, 0)], partials=partials)
 
 
 class FormPolynomials(NamedTuple):

@@ -162,16 +162,6 @@ class Poly2:
         return "Poly2(" + " + ".join(parts) + ")"
 
 
-def power_table(x: np.ndarray, n: int) -> np.ndarray:
-    """Stack [1, x, x^2, ..., x^n] along a trailing axis."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (n + 1,))
-    out[..., 0] = 1.0
-    for k in range(1, n + 1):
-        out[..., k] = out[..., k - 1] * x
-    return out
-
-
 class CompiledPolySet:
     """Several polynomials evaluated in one einsum against shared power tables."""
 
@@ -189,7 +179,8 @@ class CompiledPolySet:
         self.dv = dv
 
     def values(self, u, v):
-        """Evaluate every polynomial; returns array of shape (npolys, *shape)."""
-        U = power_table(u, self.du)
-        V = power_table(v, self.dv)
+        """Evaluate every polynomial at the 1-D points (u, v); returns an
+        array of shape (npolys, n)."""
+        U = np.vander(u, self.du + 1, increasing=True)
+        V = np.vander(v, self.dv + 1, increasing=True)
         return np.einsum("...i,kij,...j->k...", U, self.mats, V)

@@ -15,16 +15,14 @@ happen, and a recorded batch returns each seed's curve already joined;
 `_trace_worklist` turns a portrait's two batches (seeds, then chart
 continuations) into curves with array operations.
 
-The module also provides the two independent oracles used to validate the
-classifier: a sector-count probe around each lifted singular point and a
-cusp-order detector for projected curves.
+The module also provides the independent oracle that validates the
+classifier: a sector-count probe around each lifted singular point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -47,12 +45,7 @@ from .bde import (
     solve_quadratic,
     _ChartCore,
 )
-from .errors import (
-    DegenerateDiscriminant,
-    EdgefolError,
-    FitIllConditioned,
-    WindowTooSmall,
-)
+from .errors import DegenerateDiscriminant, EdgefolError
 from .geometry import surface_polynomials
 from .jets import EdgeJet
 from .poly import CompiledPolySet
@@ -575,116 +568,24 @@ def _chain_segments(segments, tol):
 class SurfaceCurve:
     points: np.ndarray           # (n, 3)
     kind: str                    # curve | separatrix | edge | discriminant
-    domain: np.ndarray | None = None
 
 
 def project_to_surface(jet: EdgeJet, portrait: Portrait) -> list:
     """Map every portrait curve through the parametrization; the singular
     edge curve f(u, 0) is always included, at 301 points."""
-    f1, f2, f3 = surface_polynomials(jet)
-    cset = CompiledPolySet([f1, f2, f3])
+    cset = CompiledPolySet(surface_polynomials(jet))
 
-    def image(domain):
-        pts = cset.values(domain[:, 0], domain[:, 1])
-        return np.stack(pts, axis=1)
+    def image(u, v):
+        return np.stack(cset.values(u, v), axis=1)
 
-    out = []
-    for curve in portrait.curves:
-        dom = curve.projected
-        out.append(SurfaceCurve(
-            points=image(dom),
-            kind="separatrix" if curve.is_separatrix else "curve",
-            domain=dom,
-        ))
-    for line in portrait.discriminant_locus:
-        out.append(SurfaceCurve(points=image(line), kind="discriminant",
-                                domain=line))
+    out = [SurfaceCurve(points=image(*curve.projected.T),
+                        kind="separatrix" if curve.is_separatrix else "curve")
+           for curve in portrait.curves]
+    out += [SurfaceCurve(points=image(*line.T), kind="discriminant")
+            for line in portrait.discriminant_locus]
     us = np.linspace(-portrait.box, portrait.box, 301)
-    edge_dom = np.stack([us, np.zeros_like(us)], axis=1)
-    out.append(SurfaceCurve(points=image(edge_dom), kind="edge",
-                            domain=edge_dom))
+    out.append(SurfaceCurve(points=image(us, np.zeros_like(us)), kind="edge"))
     return out
-
-
-# --- cusp-order detection ---
-
-class CuspClass(str, Enum):
-    NO_CUSP = "NoCusp"
-    CUSP_23 = "Cusp23"
-    CUSP_34 = "Cusp34"
-    CUSP_345 = "Cusp345"
-
-
-VANISH_TOL = 1e-3
-INDEPENDENCE_TOL = 1e-3
-MIN_WINDOW = 25
-
-
-def _independent(vectors):
-    rows = []
-    for vec in vectors:
-        n = np.linalg.norm(vec)
-        if n == 0.0:
-            return False
-        rows.append(vec / n)
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return bool(np.all(sv[1:] / sv[:-1] > INDEPENDENCE_TOL)) if len(sv) > 1 else True
-
-
-def detect_cusp_order(points, t=None, t0: float = 0.0,
-                      window: int | None = None) -> CuspClass:
-    """Classify the local singularity of a sampled curve at parameter t0.
-
-    A degree-5 least-squares fit per coordinate over a centered window gives
-    the derivative vectors; a vector vanishes when its norm, relative to the
-    window scale, is below VANISH_TOL, and vectors are independent when
-    every singular-value ratio exceeds INDEPENDENCE_TOL.  Recognizes
-    ordinary (2,3)-cusps and the two space-cusp orders (3,4) and (3,4,5).
-    """
-    pts = np.asarray(points, dtype=float)
-    n, dim = pts.shape
-    t = np.arange(n, dtype=float) if t is None else np.asarray(t, dtype=float)
-    split = int(np.searchsorted(t, t0))
-    if window is not None:
-        lo, hi = max(0, split - window), min(n, split + window)
-        pts, t = pts[lo:hi], t[lo:hi]
-        split = int(np.searchsorted(t, t0))
-    if split < MIN_WINDOW or len(t) - split < MIN_WINDOW:
-        raise WindowTooSmall(
-            f"need >= {MIN_WINDOW} samples each side of t0, have "
-            f"{split} / {len(t) - split}"
-        )
-
-    s = t - t0
-    width = float(np.max(np.abs(s)))
-    if width == 0.0:
-        raise FitIllConditioned("degenerate parameter window")
-    sn = s / width
-    V = np.vander(sn, 6, increasing=True)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e8:
-        raise FitIllConditioned(f"Vandermonde condition number {cond:.3e}")
-    spread = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    if spread == 0.0:
-        return CuspClass.NO_CUSP
-    coef, *_ = np.linalg.lstsq(V, pts / spread, rcond=None)
-
-    # scaled derivative vectors: d_k = k! c_k, dimensionless
-    fact = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0]
-    d = [fact[k] * coef[k] for k in range(6)]
-    vanish = [np.linalg.norm(dk) < VANISH_TOL for dk in d]
-
-    if not vanish[1]:
-        return CuspClass.NO_CUSP
-    if not vanish[2]:
-        if not vanish[3] and _independent([d[2], d[3]]):
-            return CuspClass.CUSP_23
-        return CuspClass.NO_CUSP
-    if vanish[3] or vanish[4] or not _independent([d[3], d[4]]):
-        return CuspClass.NO_CUSP
-    if dim == 2 or vanish[5] or not _independent([d[3], d[4], d[5]]):
-        return CuspClass.CUSP_34
-    return CuspClass.CUSP_345
 
 
 # --- sector-count oracle ---

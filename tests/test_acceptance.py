@@ -12,6 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cusp_oracle import (
+    CuspClass,
+    detect_cusp_order,
+    edge_crossing_curve,
+    surface_image,
+)
 from edgefol.bde import (
     CHART_Q,
     Case,
@@ -33,17 +39,9 @@ from edgefol.foliations import (
     closed_form_cubic,
     closed_form_discriminant,
 )
-from edgefol.geometry import surface_polynomials
 from edgefol.invariants import cubic_discriminant
 from edgefol.jets import EdgeJet, sample_generic_jet
-from edgefol.poly import CompiledPolySet
-from edgefol.tracer import (
-    CuspClass,
-    TraceConfig,
-    _trace_worklist,
-    detect_cusp_order,
-    local_sector_counts,
-)
+from edgefol.tracer import local_sector_counts
 from edgefol.verify import documented_discrepancies, format_verify_report, \
     format_survey_report, run_survey, run_verify
 
@@ -191,13 +189,8 @@ def test_criterion_6_sector_counts_match_classifier():
 
 
 def _edge_crossing_image_class(jet, kind):
-    bde = build_geometric_bde(jet, kind)
-    (curve,), _ = _trace_worklist(
-        bde, [(CHART_Q, (0.0, 0.12, 0.0), False)],
-        TraceConfig(box=0.5, step=2e-4, max_steps=1500), {CHART_Q: ()})
-    cset = CompiledPolySet(list(surface_polynomials(jet)))
-    image = np.stack(cset.values(curve.samples[:, 0], curve.samples[:, 1]),
-                     axis=1)
+    curve = edge_crossing_curve(jet, kind, 1500)
+    image = surface_image(jet, *curve.projected.T)
     return detect_cusp_order(image, t0=float(curve.seed_sample), window=60)
 
 
@@ -221,9 +214,8 @@ def test_criterion_7_cusp_orders_on_image():
 
     for index in range(20):
         jet = sample_generic_jet(62_000 + index, "generic")
-        cset = CompiledPolySet(list(surface_polynomials(jet)))
         t = np.linspace(-0.03, 0.03, 201)
-        image = np.stack(cset.values(t**3, t**2), axis=1)
+        image = surface_image(jet, t**3, t**2)
         got = detect_cusp_order(image, t, 0.0)
         if got is not CuspClass.CUSP_34:
             failures.append(("composition", index, got.value))

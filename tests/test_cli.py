@@ -163,6 +163,23 @@ def test_empty_portrait_exits_1_and_writes_no_file(jet_file, tmp_path, capsys,
     assert not out.exists() and not surface.exists()
 
 
+@pytest.mark.parametrize("with_surface", [False, True])
+def test_degenerate_camera_exits_2_and_writes_no_file(jet_file, tmp_path,
+                                                      capsys, with_surface):
+    out, surface = tmp_path / "p.svg", tmp_path / "s.svg"
+    argv = ["--json", "render", "--jet", jet_file(SADDLE_JET), "--foliation",
+            "asymptotic", "--box", "0.15", "--seeds-per-side", "8",
+            "--max-steps", "120", "--out", str(out),
+            "--camera", "0,0,1", "--up", "0,0,2"]
+    if with_surface:
+        argv += ["--surface", str(surface)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ConfigError",
+        "message": "camera direction and up-vector are parallel"}
+    assert not out.exists() and not surface.exists()
+
+
 def test_trace_writes_csv(jet_file, tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(["trace", "--jet", jet_file(SADDLE_JET), "--foliation",

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from edgefol import invariants
 from edgefol.bde import (
     CHART_Q,
     Case,
@@ -33,6 +35,7 @@ from edgefol.foliations import (
 )
 from edgefol.invariants import cubic_discriminant
 from edgefol.jets import EdgeJet, sample_generic_jet, validate_jet
+from edgefol.tracer import TraceConfig, local_sector_counts, trace_portrait
 
 KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
 
@@ -228,6 +231,58 @@ def test_classify_worked_one_saddle():
     for kind in KINDS:
         cls = classify_edge_foliation(jet, kind)
         assert cls.top_class is TopClass.ONE_SADDLE
+
+
+# exact jets whose closed-form cubic has three real roots, the middle one a
+# saddle and the outer ones nodes: (kind, jet, roots)
+ONE_SADDLE_TWO_NODES_JETS = [
+    (FoliationKind.ASYMPTOTIC,
+     EdgeJet(Fraction(-3, 2), Fraction(0), Fraction(0), Fraction(-31, 8),
+             Fraction(13, 4), Fraction(-6)),
+     (Fraction(1), Fraction(3, 2), Fraction(2))),
+    (FoliationKind.CHARACTERISTIC,
+     EdgeJet(Fraction(-10981, 54450), Fraction(0), Fraction(0),
+             Fraction(-2858761, 17968500), Fraction(181, 330), Fraction(2)),
+     (Fraction(-3), Fraction(-11, 4), Fraction(-5, 2))),
+]
+
+
+@pytest.mark.parametrize("kind, jet, roots", ONE_SADDLE_TWO_NODES_JETS,
+                         ids=[kind.value for kind, _, _ in ONE_SADDLE_TWO_NODES_JETS])
+def test_one_saddle_two_nodes_on_real_jets(kind, jet, roots):
+    c3, c2, c1, c0 = closed_form_cubic(jet, kind)
+    assert [c3 * r**3 + c2 * r**2 + c1 * r + c0 for r in roots] == [0, 0, 0]
+    assert classify_edge_foliation(jet, kind).top_class \
+        is TopClass.ONE_SADDLE_TWO_NODES
+    field = build_geometric_bde(jet, kind)
+    derived = cubic_analysis(lift(field, CHART_Q))
+    closed = closed_form_analysis(jet, kind)
+    for analysis in (derived, closed):
+        assert np.allclose(analysis.roots, [float(r) for r in roots],
+                           rtol=0, atol=1e-9)
+        assert [r.lifted_type for r in analysis.per_root] \
+            == ["node", "saddle", "node"]
+    assert [(c.pattern, c.probes, max(c.landings_forward, c.landings_backward,
+                                      c.exits_both))
+            for c in local_sector_counts(field, derived)] \
+        == [("node", 16, 16), ("saddle", 16, 16), ("node", 16, 16)]
+    portrait = trace_portrait(
+        field, TraceConfig(box=0.15, seeds_per_side=8, max_steps=120))
+    assert portrait.curves and len(portrait.separatrices) == 4
+
+
+@pytest.mark.parametrize("cubic, alpha", [
+    (invariants.asymptotic_cubic, invariants.asymptotic_alpha),
+    (invariants.characteristic_cubic, invariants.characteristic_alpha),
+], ids=["asymptotic", "characteristic"])
+def test_alpha_is_phi_prime_minus_c3_p_squared(cubic, alpha):
+    """alpha(p) = phi'(p) - c3*p^2 for both closed forms, so the eigen
+    product -phi'(r)*alpha(r) at a root r decides its type (see README)."""
+    a20, b30, b12, b03, p = sp.symbols("a20 b30 b12 b03 p")
+    c3, c2, c1, c0 = cubic(a20, b30, b12, b03)
+    a2, a1, a0 = alpha(a20, b30, b12, b03)
+    phi = c3 * p**3 + c2 * p**2 + c1 * p + c0
+    assert sp.simplify(a2 * p**2 + a1 * p + a0 - (sp.diff(phi, p) - c3 * p**2)) == 0
 
 
 def test_classify_output_bytes_pinned():

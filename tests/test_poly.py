@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgefol.poly import CompiledPolySet, Poly2, power_table
+from edgefol.poly import CompiledPolySet, Poly2
 
 coeffs = st.integers(min_value=-5, max_value=5)
 polys = st.builds(
@@ -88,9 +88,3 @@ def test_compiled_set_evaluates_all_members():
     vals = cset.values(np.array([2.0]), np.array([5.0]))
     assert vals.shape == (3, 1)
     assert np.allclose(vals[:, 0], [2.0, 5.0, 3.0])
-
-
-def test_power_table():
-    t = power_table(np.array([2.0, -1.0]), 3)
-    assert np.allclose(t[0], [1, 2, 4, 8])
-    assert np.allclose(t[1], [1, -1, 1, -1])

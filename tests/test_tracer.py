@@ -5,24 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from cusp_oracle import (
+    CuspClass,
+    FitIllConditioned,
+    WindowTooSmall,
+    detect_cusp_order,
+    edge_crossing_curve,
+    surface_image,
+)
 from edgefol.bde import BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift
-from edgefol.errors import WindowTooSmall
 from edgefol.foliations import FoliationKind, build_geometric_bde
-from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
 from edgefol.render import portrait_to_svg
 from edgefol import tracer
 from edgefol.tracer import (
     TERM_CAP,
-    CuspClass,
     SectorCount,
     TraceConfig,
     _integrate_batch,
     _probe_circle,
     _swap_uv,
     _trace_worklist,
-    detect_cusp_order,
     direction_roots,
     discriminant_locus,
     local_sector_count,
@@ -539,9 +543,10 @@ def test_projection_first_coordinate_is_u():
         build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC),
         TraceConfig(max_steps=1500, seeds_per_side=6))
     curves3d = project_to_surface(THREE_SADDLES_JET, portrait)
-    for sc in curves3d:
-        if sc.domain is not None and sc.kind != "edge":
-            assert np.allclose(sc.points[:, 0], sc.domain[:, 0], atol=1e-12)
+    domains = [c.projected for c in portrait.curves] + portrait.discriminant_locus
+    assert len(curves3d) == len(domains) + 1     # the edge curve comes last
+    for domain, sc in zip(domains, curves3d):
+        assert np.allclose(sc.points[:, 0], domain[:, 0], atol=1e-12)
 
 
 def test_projection_edge_curve_of_minimal_jet_is_axis():
@@ -554,7 +559,7 @@ def test_projection_edge_curve_of_minimal_jet_is_axis():
     assert len(edge) == 1
     pts = edge[0].points
     assert np.allclose(pts[:, 1], 0.0) and np.allclose(pts[:, 2], 0.0)
-    assert np.allclose(pts[:, 0], edge[0].domain[:, 0])
+    assert np.allclose(pts[:, 0], np.linspace(-portrait.box, portrait.box, 301))
 
 
 # --- cusp detection ---
@@ -594,31 +599,17 @@ def test_composition_through_null_cusp_is_34():
     """f composed with an ordinary cusp whose second derivative spans the
     null direction is a (3,4)-cusp on the image."""
     jet = EdgeJet(0.7, -0.4, 0.9, 1.2, 0.3, 1.4)
-    cset = CompiledPolySet(list(surface_polynomials(jet)))
     t = np.linspace(-0.06, 0.06, 201)
-    gamma_u, gamma_v = t**3, t**2
-    image = np.stack(cset.values(gamma_u, gamma_v), axis=1)
+    image = surface_image(jet, t**3, t**2)
     assert detect_cusp_order(image, t, 0.0) is CuspClass.CUSP_34
-
-
-def _edge_crossing_curve(jet, kind, u0=0.12, step=2e-4, max_steps=3000):
-    (curve,), _ = _trace_seed(build_geometric_bde(jet, kind), CHART_Q,
-                              (0.0, u0, 0.0), step, max_steps)
-    return curve
-
-
-def _image_of(jet, curve):
-    cset = CompiledPolySet(list(surface_polynomials(jet)))
-    return np.stack(cset.values(curve.samples[:, 0], curve.samples[:, 1]),
-                    axis=1)
 
 
 def test_lc_curves_cross_edge_as_23_cusps_on_image():
     jet = sample_generic_jet(4)
-    curve = _edge_crossing_curve(jet, FoliationKind.LINES_OF_CURVATURE)
+    curve = edge_crossing_curve(jet, FoliationKind.LINES_OF_CURVATURE, 3000)
     # the domain curve crosses v = 0 transversally
     assert curve.samples[:, 1].min() < 0 < curve.samples[:, 1].max()
-    image = _image_of(jet, curve)
+    image = surface_image(jet, *curve.projected.T)
     got = detect_cusp_order(image, t0=float(curve.seed_sample), window=60)
     assert got is CuspClass.CUSP_23
 
@@ -627,8 +618,8 @@ def test_asymptotic_cusps_on_edge_are_34_on_image():
     jet = sample_generic_jet(4)     # b20 > 0.1 for this seed
     assert jet.b20 > 0.1
     for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
-        curve = _edge_crossing_curve(jet, kind)
-        image = _image_of(jet, curve)
+        curve = edge_crossing_curve(jet, kind, 3000)
+        image = surface_image(jet, *curve.projected.T)
         got = detect_cusp_order(image, t0=float(curve.seed_sample), window=60)
         assert got is CuspClass.CUSP_34
         # while the domain projection shows the ordinary cusp of a fold
@@ -638,7 +629,6 @@ def test_asymptotic_cusps_on_edge_are_34_on_image():
 
 
 def test_detect_cusp_ill_conditioned_window():
-    from edgefol.errors import FitIllConditioned
     # two clumps of duplicated parameters: enough samples each side but a
     # rank-deficient Vandermonde
     t = np.concatenate([np.full(30, -1e-6), np.full(30, 1e-6)])
