@@ -15,21 +15,23 @@ both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
 chart-p equation of the u/v swapped tensor (C, B, A): a relabelling.  That
 chart rule lives here alone: `DUAL` names the other chart,
-`CubicAnalysis.roots_in` reads the singular roots there, `LiftedEquation`
-reads either chart's cubic through `SWAP_UV`, and one compiled evaluator,
-`_ChartCore`, applies the swap once, when it derives F, F_w, F_x and F_p
-of both charts into one table of monomials over the internal coordinates.
-The tracer's RK4 loop, the fiber Newton solve, the differenced Jacobian
-and the tangency oracle of `verify` all read it.  A `BdeField` owns its
+`CubicAnalysis.roots_in` reads the singular roots there, and `chart_tensor`
+writes the swap once.  `LiftedEquation` and the one compiled evaluator,
+`_ChartCore` (F, F_w, F_x and F_p of both charts in one table of monomials
+over the internal coordinates), both read it.  The tracer's RK4 loop, the
+fiber Newton solve, the differenced Jacobian of the eigenvalue oracle and
+the tangency oracle of `verify` read the table.  A `BdeField` owns its
 evaluator (`BdeField.core`), compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
-has eigenvalues alpha(p_i) and -phi'(p_i).  `analyse_cubic` computes them,
-for the cubic read off the BDE (`cubic_analysis`) and for the closed forms
-alike.  The sign of their product decides saddle (negative) versus node
-(positive); this is the convention used by the topological classifier and
-confirmed by the sector-count oracle in the tracer module.
+(`LiftedEquation.jacobian`, exact and lower triangular, as the fiber is
+invariant) has eigenvalues alpha(p_i) and -phi'(p_i).  `analyse_cubic`
+computes them, for the cubic read off the BDE (`cubic_analysis`) and for
+the closed forms alike.  The sign of their product decides saddle
+(negative) versus node (positive); this is the convention used by the
+topological classifier and confirmed by the sector-count oracle in the
+tracer module.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .poly import Poly2
 CASE_TOL = 1e-10
 DISCRIMINANT_TOL = 1e-9
 COMMON_ROOT_TOL = 1e-9
+JACOBIAN_STEP = 1e-4     # restricted_jacobian's step, before |root| scaling
 
 SADDLE = "saddle"
 NODE = "node"
@@ -93,17 +96,10 @@ class BdeField:
     C: Poly2
 
     def coefficient_scale(self) -> float:
-        return max(
-            float(self.A.max_abs()), float(self.B.max_abs()),
-            float(self.C.max_abs()),
-        )
+        return max(float(f.max_abs()) for f in (self.A, self.B, self.C))
 
     def origin_values(self):
-        return (
-            float(self.A.coeff(0, 0)),
-            float(self.B.coeff(0, 0)),
-            float(self.C.coeff(0, 0)),
-        )
+        return tuple(float(f.coeff(0, 0)) for f in (self.A, self.B, self.C))
 
     @cached_property
     def core(self) -> _ChartCore:
@@ -168,8 +164,19 @@ def delta_and_case(bde: BdeField):
 CHART_P = "p"
 CHART_Q = "q"
 DUAL = {CHART_P: CHART_Q, CHART_Q: CHART_P}   # the other affine chart
-SWAP_UV = [2, 1, 0, 8, 7, 6, 5, 4, 3]   # the nine values of the u/v swap
 EVAL_BLOCK = 2048    # rows per table evaluation: bounds its temporaries
+
+
+def chart_tensor(bde: BdeField, chart: str):
+    """The chart's tensor (a, b, c) over the internal (w, x), with
+    F = a p^2 + 2b p + c: (A, B, C) in chart p, the u/v-swapped (C, B, A)
+    in chart q."""
+    if chart == CHART_P:
+        return bde.A, bde.B, bde.C
+    swapped = (Poly2(), Poly2(), Poly2())   # the terms as stored, as in chart p
+    for s, f in zip(swapped, (bde.C, bde.B, bde.A)):
+        s.terms = {(j, i): c for (i, j), c in f.terms.items()}
+    return swapped
 
 
 def _chart_columns(a: Poly2, b: Poly2, c: Poly2):
@@ -190,17 +197,15 @@ class _ChartCore:
     formula): the integrator, the fiber Newton solve, the differenced
     Jacobian and the tangency oracle all read it, through the
     `BdeField.core` that compiles it once per BDE.  State rows are internal
-    coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q,
-    since the chart-q equation of (A, B, C) is the chart-p equation of the
-    u/v swapped tensor.  That swap is applied once, here: F, F_w, F_x and
-    F_p of both charts are derived exactly and stored as one table over a
-    shared list of monomials w^i x^j p^k (a column per chart and value).
+    coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q.
+    F, F_w, F_x and F_p of both charts are derived exactly from
+    `chart_tensor` and stored as one table over a shared list of monomials
+    w^i x^j p^k (a column per chart and value).
     """
 
     def __init__(self, bde: BdeField):
-        swapped = [Poly2({(j, i): c for (i, j), c in f.terms.items()})
-                   for f in (bde.C, bde.B, bde.A)]
-        columns = _chart_columns(bde.A, bde.B, bde.C) + _chart_columns(*swapped)
+        columns = [column for chart in (CHART_P, CHART_Q)
+                   for column in _chart_columns(*chart_tensor(bde, chart))]
         monomials = sorted(set().union(*columns))
         self.table = np.array([[float(col.get(m, 0)) for col in columns]
                                for m in monomials]).reshape(-1, 8)
@@ -282,27 +287,37 @@ class LiftedEquation:
         if self.chart not in DUAL:
             raise ValueError(f"unknown chart {self.chart!r}")
 
-    def dual(self) -> "LiftedEquation":
-        return LiftedEquation(self.bde, DUAL[self.chart])
+    def _terms(self, *exponents):
+        """Per entry P of `chart_tensor`, the floats P_ij of w^i x^j."""
+        return [[float(f.terms.get(ij, 0)) for ij in exponents]
+                for f in chart_tensor(self.bde, self.chart)]
 
-    def origin_jet(self):
-        """First-order data (au, bu, cu, av, bv, cv) at the origin of the
-        chart's tensor: (A, B, C) in chart q, through `SWAP_UV` in chart p."""
-        vals = [float(f.coeff(*ij)) for ij in ((0, 0), (1, 0), (0, 1))
-                for f in (self.bde.A, self.bde.B, self.bde.C)]
-        if self.chart == CHART_P:
-            vals = [vals[k] for k in SWAP_UV]
-        return tuple(vals[3:])
+    @cached_property
+    def _linear(self):
+        return self._terms((0, 1), (1, 0))
 
     def phi_coefficients(self):
-        """(c3, c2, c1, c0) of the singularity cubic in this chart."""
-        au, bu, cu, av, bv, cv = self.origin_jet()
-        return (cu, cv + 2 * bu, 2 * bv + au, av)
+        """(c3, c2, c1, c0) of the singularity cubic phi = F_w + p F_x."""
+        (a01, a10), (b01, b10), (c01, c10) = self._linear
+        return (a01, a10 + 2 * b01, 2 * b10 + c01, c10)
 
     def alpha_coefficients(self):
-        """(a2, a1, a0) of the transverse-eigenvalue quadratic."""
-        au, bu, cu, av, bv, cv = self.origin_jet()
-        return (2 * cu, 2 * (bu + cv), 2 * bv)
+        """(a2, a1, a0) of the transverse eigenvalue alpha = F_pw + p F_px."""
+        (a01, a10), (b01, b10), _ = self._linear
+        return (2 * a01, 2 * (b01 + a10), 2 * b10)
+
+    def jacobian(self, root: float) -> np.ndarray:
+        """The exact linearization of the field on M at (0, 0, root), over
+        (w, chart variable): alpha and -phi' (as `analyse_cubic` evaluates
+        them) on the diagonal, 0 above it (the fiber lies in M) and
+        -(F_ww + 2 root F_wx + root^2 F_xx) below (M's x-slope is root)."""
+        (a2, a1, a0), (c3, c2, c1, _) = (self.alpha_coefficients(),
+                                         self.phi_coefficients())
+        a, b, c = (polyval(terms, root)
+                   for terms in self._terms((0, 2), (1, 1), (2, 0)))
+        return np.array([[a2 * root * root + a1 * root + a0, 0.0],
+                         [-2.0 * polyval((a, 2 * b, c), root),
+                          -(3.0 * c3 * root * root + 2.0 * c2 * root + c1)]])
 
 
 def lift(bde: BdeField, chart: str) -> LiftedEquation:
@@ -462,7 +477,7 @@ def cubic_analysis(eq: LiftedEquation) -> CubicAnalysis:
     phi = eq.phi_coefficients()
     phi_scale = max(abs(x) for x in phi)
     if phi_scale != 0.0 and abs(phi[0]) <= 1e-12 * phi_scale:
-        eq = eq.dual()
+        eq = LiftedEquation(eq.bde, DUAL[eq.chart])
         phi = eq.phi_coefficients()
         if abs(phi[0]) <= 1e-12 * max(abs(x) for x in phi):
             raise DiscriminantNearZero(
@@ -534,21 +549,21 @@ def solve_fiber_coordinate(eq: LiftedEquation, v, p, start):
     return float(x) if x.ndim == 0 else x
 
 
-def restricted_jacobian(eq: LiftedEquation, root: float, h: float = 1e-4) -> np.ndarray:
+def restricted_jacobian(eq: LiftedEquation, root: float) -> np.ndarray:
     """Numerically differenced Jacobian of the lifted field restricted to M.
 
     The surface is parameterized by the base fiber coordinate and the chart
     variable near (0, 0, root); Richardson-extrapolated central differences
-    around the singular point give the 2x2 linearization whose eigenvalues
-    are alpha(root) and -phi'(root).  Raises FiberNotConverged when a
-    difference point's fiber solve did not land on M.
+    around the singular point give the oracle of `LiftedEquation.jacobian`,
+    with eigenvalues alpha(root) and -phi'(root).  Raises FiberNotConverged
+    when a difference point's fiber solve did not land on M.
     """
     # Derivatives of the graph u(v, p) grow like powers of |root|, so the
     # base-direction step must shrink accordingly to keep the difference
     # quotient in the linear regime.
     scale = 1.0 + abs(root)
-    h_base = h / scale**1.5
-    h_chart = h * scale
+    h_base = JACOBIAN_STEP / scale**1.5
+    h_chart = JACOBIAN_STEP * scale
 
     points = []                  # (w, p) at +-hb and +-hc, for k = 1, 2
     for k in (1, 2):

@@ -20,11 +20,7 @@ class Poly2:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if c != 0:
-                    self.terms[(i, j)] = c
+        self.terms = {ij: c for ij, c in (terms or {}).items() if c != 0}
 
     # --- constructors ---
 

@@ -15,8 +15,10 @@ happen, and a recorded batch returns each seed's curve already joined;
 `_trace_worklist` turns a portrait's two batches (seeds, then chart
 continuations) into curves with array operations.
 
-The module also provides the independent oracle that validates the
-classifier: a sector-count probe around each lifted singular point.
+Separatrix seeds and sector probes read one local model per lifted zero,
+the eigenframe of `LiftedEquation.jacobian`.  The module also provides the
+independent oracle that validates the classifier: a sector-count probe
+around each lifted singular point.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .bde import (
     delta_and_case,
     discriminant_poly,
     lift,
-    restricted_jacobian,
     solve_fiber_coordinate,
     solve_quadratic,
     _ChartCore,
@@ -140,16 +141,16 @@ def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
 
 
 def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
-                     box=np.inf, singular=None, singular_stop=SINGULAR_STOP,
-                     ball=None):
+                     box=np.inf, singular=None, ball=None):
     """Fixed-step RK4 on the lifted field, each internal seed both ways.
 
     Row i runs seed i backward in time and row n + i forward.  Each seed has
     its own chart (`q`), step size (`step`, unsigned) and stopping tests: a
     non-finite step (the field overflowed), box exit on the base
-    coordinates, proximity to its chart's singular points (0, 0, p_i)
-    (`singular` maps chart -> p_i), chart-variable blowup past CHART_BOUND,
-    and optionally land/exit radii of `ball = (center, land, exit, transform)`
+    coordinates, proximity within SINGULAR_STOP to its chart's singular
+    points (0, 0, p_i) (`singular` maps chart -> p_i), chart-variable blowup
+    past CHART_BOUND, and optionally land/exit radii of `ball = (center,
+    land, exit, transform)`
     measured in the surface-graph coordinates (first base coordinate, chart
     variable), after the 2x2 `transform` (used to measure in
     eigencoordinates, where the linearized flow has no transient growth).
@@ -252,7 +253,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
         if sing.size:
             d2 = (w[:, None] ** 2 + x[:, None] ** 2
                   + (p[:, None] - r["sing"]) ** 2)
-            stops.append((d2.min(axis=1) < singular_stop**2, TERM_SINGULAR))
+            stops.append((d2.min(axis=1) < SINGULAR_STOP**2, TERM_SINGULAR))
         if probe:
             dw = w - r["center"][:, 0]
             dp = p - r["center"][:, 1]
@@ -350,23 +351,29 @@ def _seeds_on_M(eq, root: float, dw, dp) -> np.ndarray:
     return np.column_stack([dw, solve_fiber_coordinate(eq, dw, p, start=root * dw), p])
 
 
+def _eigenframe(eq, root: float):
+    """The exact linearization J at the lifted zero (0, 0, root) and, as
+    columns, its unit eigenvectors: the fiber's (0, 1) first, then the
+    transverse (J00 - J11, J10), left zero where that vector is."""
+    jac = eq.jacobian(root)
+    transverse = np.array([jac[0, 0] - jac[1, 1], jac[1, 0]])
+    norm = math.hypot(*transverse) or 1.0
+    return jac, np.column_stack([(0.0, 1.0), transverse / norm])
+
+
 def _separatrix_seeds(bde: BdeField, analysis: CubicAnalysis):
-    """Four internal rows per saddle: +-SEPARATRIX_OFFSET along each
-    eigenvector of the lifted linearization, pushed back onto M by one
-    Newton solve; a graph offset below 1e-14 stays on the fiber."""
+    """Four internal rows per saddle: +-SEPARATRIX_OFFSET along each unit
+    eigenvector of its linearization, pushed back onto M by one Newton
+    solve; the two fiber seeds stay on the fiber."""
     eq = lift(bde, analysis.chart)
     seeds = []
     for data in analysis.per_root:
         if data.lifted_type != SADDLE:
             continue
-        _, eigvecs = np.linalg.eig(restricted_jacobian(eq, data.root))
-        # one norm per eigenvector: a batched norm can differ in the last bit
-        dw, dp = np.reshape([sign * SEPARATRIX_OFFSET * (vec / np.linalg.norm(vec))
-                             for vec in np.real(eigvecs).T if np.linalg.norm(vec) != 0.0
-                             for sign in (+1.0, -1.0)], (-1, 2)).T
-        rows = _seeds_on_M(eq, data.root, dw, dp)
-        rows[np.abs(dw) < 1e-14, :2] = 0.0
-        seeds += rows.tolist()
+        # rows +v, -v for each eigenvector v
+        offsets = np.kron(_eigenframe(eq, data.root)[1].T,
+                          [[SEPARATRIX_OFFSET], [-SEPARATRIX_OFFSET]])
+        seeds += _seeds_on_M(eq, data.root, *offsets.T).tolist()
     return seeds
 
 
@@ -440,8 +447,8 @@ def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
     the locus of the full discriminant by marching squares.  Failed seeds
     are dropped and counted in `warnings`.  A discriminant too degenerate
     for the case split leaves `case` None (one warning): tracing and the
-    locus do not need it.  A field that overflows in the first step of
-    every seed raises OverflowError, as an infinite coefficient does.
+    locus do not need it.  A portrait in which no curve took a step (huge
+    coefficients) raises OverflowError, as an infinite coefficient does.
     """
     warnings = 0
     analysis = None
@@ -472,16 +479,12 @@ def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
     if analysis is not None:
         singular_points = tuple((r.root, r.lifted_type) for r in analysis.per_root)
         singular_by_chart = {chart: analysis.roots_in(chart) for chart in DUAL}
-        try:
-            for state in _separatrix_seeds(bde, analysis):
-                worklist.append((analysis.chart, state, True))
-        except EdgefolError:
-            warnings += 1
+        worklist += [(analysis.chart, state, True)
+                     for state in _separatrix_seeds(bde, analysis)]
 
     curves, dropped = _trace_worklist(bde, worklist, config, singular_by_chart)
-    if {(len(c), c.termination, c.termination_backward) for c in curves} \
-            == {(1, TERM_NONFINITE, TERM_NONFINITE)}:   # no row took a step
-        raise OverflowError("the lifted field overflows at every seed")
+    if curves and all(len(c) == 1 for c in curves):    # no curve took a step
+        raise OverflowError("no curve took a step: the lifted field is too large")
     warnings += dropped
 
     locus = discriminant_locus(delta, config.box)
@@ -639,13 +642,6 @@ class SectorCount:
     exits_both: int
     probes: int
 
-    @property
-    def sectors(self) -> int | None:
-        return {SADDLE: 4, NODE: 2}.get(self.pattern)
-
-    def matches(self, lifted_type: str) -> bool:
-        return self.pattern == lifted_type
-
 
 class _ProbeCircle(NamedTuple):
     """Probe seeds on M around one lifted singular point (0, 0, root)."""
@@ -668,28 +664,20 @@ def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
 
     eq = lift(bde, chart)
 
-    # eigenbasis of the restricted Jacobian in (graph coordinate, chart
-    # variable); columns normalized, fall back to identity if degenerate
-    jac = restricted_jacobian(eq, root)
-    eigvals, eigvecs = np.linalg.eig(jac)
-    basis = np.real(eigvecs)
-    norms = np.linalg.norm(basis, axis=0)
-    lam = np.real(eigvals)
-    if np.any(np.abs(np.imag(eigvals)) > 1e-9 * np.abs(eigvals).max()) \
-            or np.any(norms == 0.0):
-        basis = np.eye(2)
-    elif lam[0] * lam[1] > 0.0 and abs(np.linalg.det(basis / norms)) < 1e-2:
+    # the eigenframe over (graph coordinate, chart variable) and its
+    # eigenvalues, fiber first; the unit frame [[0, t0], [1, t1]] has
+    # |det| = |t0|
+    jac, basis = _eigenframe(eq, root)
+    lam, det = np.diag(jac)[::-1], abs(basis[0, 1])
+    if lam[0] * lam[1] > 0.0 and 0.0 < det < 1e-2:
         # nearly defective node: its eigencoordinates magnify errors into
-        # spurious exits.  Schur vectors, the second shrunk until the shear is
-        # below the eigenvalues, make the linear flow monotone in the norm.
-        v = basis[:, 0] / norms[0]
-        u = np.array([-v[1], v[0]])
-        shrink = math.sqrt(lam[0] * lam[1]) / max(abs(v @ jac @ u), 1e-300)
-        basis = np.column_stack([v, min(1.0, shrink) * u])
-    elif abs(np.linalg.det(basis / norms)) < 1e-3:
+        # spurious exits.  Schur vectors, the fiber and (-1, 0) shrunk until
+        # the shear |J10| is below the eigenvalues, make the linear flow
+        # monotone in the norm.
+        shrink = math.sqrt(lam[0] * lam[1]) / abs(jac[1, 0])
+        basis = np.array([[0.0, -min(1.0, shrink)], [1.0, 0.0]])
+    elif det < 1e-3:    # a saddle's nearly parallel eigenvectors, or no transverse one
         basis = np.eye(2)
-    else:
-        basis = basis / norms
     inverse = np.linalg.inv(basis)
 
     # the probe circle must sit inside the linearization region of the WEAK
@@ -699,7 +687,7 @@ def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
     second_order = max(
         (abs(float(c)) for poly in (bde.A, bde.B, bde.C)
          for (i, j), c in poly.terms.items() if i + j == 2), default=0.0)
-    lam_min = float(np.min(np.abs(np.real(eigvals))))
+    lam_min = float(np.min(np.abs(lam)))
     rho = max(1e-6, min(PROBE_RADIUS, 0.3 * gap, 0.3 * _edge_zero_distance(bde),
                         0.2 * lam_min / max(second_order, 1e-9)))
 
@@ -714,7 +702,7 @@ def _probe_circle(bde: BdeField, analysis: CubicAnalysis,
     internal = _seeds_on_M(eq, root, dw, dp)
     resid = np.abs(bde.core.residual(internal, chart == CHART_Q))
     keep = resid <= 1e-9 * max(1.0, bde.coefficient_scale())
-    weak_index = int(np.argmin(np.abs(np.real(eigvals))))
+    weak_index = int(np.argmin(np.abs(lam)))
     return _ProbeCircle(chart == CHART_Q, root, rho, inverse, weak_index,
                         internal[keep])
 
@@ -724,7 +712,7 @@ def local_sector_counts(bde: BdeField, analysis: CubicAnalysis,
     """Probe the flow near lifted singular points and count local sectors.
 
     Probes seed on a small circle around (0, 0, p_i) in the eigencoordinates
-    of the restricted linearization (so anisotropy and shear cause no
+    of its exact linearization (so anisotropy and shear cause no
     spurious transient exits) and integrate the unit-speed field both ways.
     All probes escaping both ways is the saddle pattern (4 hyperbolic
     sectors); all probes converging in a common time direction is the node

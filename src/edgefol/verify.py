@@ -169,7 +169,7 @@ def _sector_trial(args):
     jet = sample_generic_jet(_trial_seed(master, 6, index), "edge_degenerate")
     bde = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(bde, CHART_Q))
-    ok = all(c.matches(d.lifted_type) for c, d in
+    ok = all(c.pattern == d.lifted_type for c, d in
              zip(local_sector_counts(bde, analysis), analysis.per_root))
     return ok, 0.0 if ok else 1.0
 

@@ -172,7 +172,7 @@ def test_criterion_6_sector_counts_match_classifier():
         counts = local_sector_counts(field, analysis)
         for count, data in zip(counts, analysis.per_root):
             checked += 1
-            if not count.matches(data.lifted_type):
+            if count.pattern != data.lifted_type:
                 mismatches += 1
 
     for jet in (THREE_SADDLES_JET, ONE_SADDLE_JET):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from edgefol import bde as bde_mod
 from edgefol.bde import (
     BdeField,
     CHART_P,
     CHART_Q,
+    DUAL,
     Case,
     CubicAnalysis,
     RootData,
@@ -157,8 +159,9 @@ def _swap_tensor(field):
 
 
 def test_chart_q_is_chart_p_of_the_swapped_tensor():
-    """Chart-q rows of a mixed-chart batch, and the chart-p origin jet, are
-    those of the u/v-swapped tensor in the other chart."""
+    """Chart-q rows of a mixed-chart batch, and the chart-p cubic and
+    eigenvalue quadratic, are those of the u/v-swapped tensor in the other
+    chart."""
     rng = np.random.default_rng(10)
     fields = [build_geometric_bde(sample_generic_jet(seed, scenario), kind)
               for seed in range(20) for scenario in ("generic", "edge_degenerate")
@@ -175,8 +178,9 @@ def test_chart_q_is_chart_p_of_the_swapped_tensor():
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     fields += [build_geometric_bde(EXACT_JET, kind) for kind in FoliationKind]
     for field in fields:
-        assert lift(field, CHART_P).origin_jet() \
-            == lift(_swap_tensor(field), CHART_Q).origin_jet()
+        p, q = lift(field, CHART_P), lift(_swap_tensor(field), CHART_Q)
+        assert p.phi_coefficients() == q.phi_coefficients()
+        assert p.alpha_coefficients() == q.alpha_coefficients()
 
 
 def test_table_rows_do_not_depend_on_their_batch():
@@ -394,9 +398,10 @@ def test_cubic_analysis_dual_chart_fallback():
     assert analysis.per_root[0].alpha != 0.0
 
 
-def test_restricted_jacobian_refuses_off_surface_points():
-    # with h = 0.1 the fiber solves around this root stop with |F| up to
-    # 1.4e-2 x the coefficient scale: no Jacobian is differenced from them
+def test_restricted_jacobian_refuses_off_surface_points(monkeypatch):
+    # with a difference step of 0.1 the fiber solves around this root stop
+    # with |F| up to 1.4e-2 x the coefficient scale: no Jacobian is
+    # differenced from them
     field = build_geometric_bde(sample_generic_jet(4, "edge_degenerate"),
                                 FoliationKind.ASYMPTOTIC)
     analysis = cubic_analysis(lift(field, CHART_Q))
@@ -404,8 +409,18 @@ def test_restricted_jacobian_refuses_off_surface_points():
     assert math.isclose(root, -3.2153, abs_tol=1e-4)
     eq = lift(field, analysis.chart)
     restricted_jacobian(eq, root)
+    monkeypatch.setattr(bde_mod, "JACOBIAN_STEP", 0.1)
     with pytest.raises(FiberNotConverged):
-        restricted_jacobian(eq, root, h=0.1)
+        restricted_jacobian(eq, root)
+
+
+def _assert_jacobian_matches_oracle(eq, root):
+    """The exact linearization equals the differenced one entrywise, within
+    1e-8 of the largest entry, and is lower triangular."""
+    exact, differenced = eq.jacobian(root), restricted_jacobian(eq, root)
+    assert exact[0, 1] == 0.0
+    assert np.max(np.abs(exact - differenced)) \
+        <= 1e-8 * np.max(np.abs(differenced)), (eq.chart, root)
 
 
 @pytest.mark.parametrize("chart", [CHART_P, CHART_Q])
@@ -426,6 +441,8 @@ def test_restricted_jacobian_eigenvalues_random_case3(chart):
             continue
         eq = lift(field, analysis.chart)
         for data in analysis.per_root:
+            # the full matrix needs no eigensolver ordering: every root
+            _assert_jacobian_matches_oracle(eq, data.root)
             if abs(data.alpha + data.minus_phi_prime) < 1e-3:
                 continue   # nearly resonant: eigensolver ordering unstable
             jac = restricted_jacobian(eq, data.root)
@@ -434,6 +451,30 @@ def test_restricted_jacobian_eigenvalues_random_case3(chart):
             for e, x in zip(eigs, expected):
                 assert abs(e - x) <= 1e-6 * max(1.0, abs(x))
         done += 1
+
+
+def test_exact_jacobian_matches_differenced_jacobian_on_sampled_roots():
+    """Every root of both Type-2 kinds of the first 200 sampled jets, in its
+    analysis chart and in the dual chart; in the analysis chart the
+    diagonal is the analysis's alpha and -phi', to the bit."""
+    pairs = 0
+    for seed in range(200):
+        jet = sample_generic_jet(seed, "edge_degenerate")
+        for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
+            field = build_geometric_bde(jet, kind)
+            analysis = cubic_analysis(lift(field, CHART_Q))
+            eq = lift(field, analysis.chart)
+            for data in analysis.per_root:
+                exact = eq.jacobian(data.root)
+                assert (exact[0, 0], exact[1, 1]) \
+                    == (data.alpha, data.minus_phi_prime)
+                _assert_jacobian_matches_oracle(eq, data.root)
+            dual = lift(field, DUAL[analysis.chart])
+            for root in analysis.roots_in(dual.chart):
+                _assert_jacobian_matches_oracle(dual, root)
+                pairs += 1
+            pairs += len(analysis.roots)
+    assert pairs == 2 * 566
 
 
 # --- classifier ---

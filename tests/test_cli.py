@@ -163,6 +163,23 @@ def test_empty_portrait_exits_1_and_writes_no_file(jet_file, tmp_path, capsys,
     assert not out.exists() and not surface.exists()
 
 
+@pytest.mark.parametrize("command", ["trace", "render"])
+def test_portrait_in_which_no_curve_steps_exits_1_and_writes_no_file(
+        jet_file, tmp_path, capsys, command):
+    # b12 = 1e20: at the default size every one of the 472 curves is its
+    # seed alone, both halves rejected at the first step (chart breakdown
+    # or overflow), with a residual far above the documented bound
+    path = jet_file({**SADDLE_JET, "b12": 1e20})
+    out, surface = tmp_path / "out", tmp_path / "surface.svg"
+    argv = ["--json", command, "--jet", path, "--foliation", "asymptotic",
+            "--out", str(out)]
+    if command == "render":
+        argv += ["--surface", str(surface)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "OverflowError"
+    assert not out.exists() and not surface.exists()
+
+
 @pytest.mark.parametrize("with_surface", [False, True])
 def test_degenerate_camera_exits_2_and_writes_no_file(jet_file, tmp_path,
                                                       capsys, with_surface):

@@ -271,6 +271,84 @@ def test_one_saddle_two_nodes_on_real_jets(kind, jet, roots):
     assert portrait.curves and len(portrait.separatrices) == 4
 
 
+def _jet_from_cubic(kind, c3, c2, c1, c0):
+    """The exact edge-degenerate jet (a30 = b20 = 0) whose closed-form cubic
+    of `kind` is (c3, c2, c1, c0), by inverting the closed forms.  The
+    characteristic cubic has c0 = b03^2 / 4: c0 must be a rational square."""
+    c3, c2, c1, c0 = map(Fraction, (c3, c2, c1, c0))
+    if kind is FoliationKind.ASYMPTOTIC:
+        b03, b12 = 2 * c0, c1 / 2
+        a20 = -2 * c2 / b03
+        b30 = c3 + a20 * b12
+    else:
+        half = Fraction(math.isqrt(c0.numerator), math.isqrt(c0.denominator))
+        assert half * half == c0, "c0 is not a rational square"
+        b03 = 2 * half
+        b12 = c1 / b03
+        a20 = (4 * c2 - 8 * b12**2) / b03**2
+        b30 = a20 * b12 - 2 * c3 / b03
+    return EdgeJet(a20, Fraction(0), Fraction(0), b30, b12, b03)
+
+
+def _cubic_of(kind, *factors):
+    """The cubic c3 * psi of `kind`, (c3, c2, c1, c0), where the monic psi is
+    the product of `factors` (lower coefficients: (r,) is p + r and (s, t)
+    is p^2 + s p + t).  c3 = 1, or in the characteristic foliation the
+    c3 that makes c0 = 1 (so b03 = 2); the class depends on psi alone."""
+    psi = [Fraction(1)]
+    for factor in factors:
+        factor = (1, *factor)
+        psi = [sum(psi[i] * factor[k - i] for i in range(len(psi))
+                   if 0 <= k - i < len(factor))
+               for k in range(len(psi) + len(factor) - 1)]
+    c3 = 1 if kind is FoliationKind.ASYMPTOTIC else 1 / psi[-1]
+    return tuple(c3 * c for c in psi)
+
+
+# psi of each Type-2 class (see the README rule): a middle root is always a
+# saddle, an outer or single root r is one iff psi'(r) > r^2
+TYPE2_PSI = {
+    TopClass.THREE_SADDLES: ((4,), (Fraction(-1, 4),), (-4,)),     # -4, 1/4, 4
+    TopClass.TWO_SADDLES_ONE_NODE: ((-1,), (-2,), (-4,)),           # 1, 2, 4
+    TopClass.ONE_SADDLE_TWO_NODES: ((-1,), (Fraction(-3, 2),), (-2,)),  # 1, 3/2, 2
+    TopClass.ONE_SADDLE: ((-1,), (0, 1)),                           # 1, +-i
+    TopClass.ONE_NODE: ((-2,), (-2, 2)),                            # 2, 1 +- i
+}
+TYPE2_CASES = [(kind, top) for kind in KINDS for top in TYPE2_PSI]
+
+
+def test_jet_from_cubic_inverts_the_closed_forms():
+    for kind, jet, roots in ONE_SADDLE_TWO_NODES_JETS:
+        cubic = closed_form_cubic(jet, kind)
+        assert _jet_from_cubic(kind, *cubic) == jet
+        assert _cubic_of(FoliationKind.ASYMPTOTIC, *((-r,) for r in roots)) \
+            == tuple(c / cubic[0] for c in cubic)
+
+
+@pytest.mark.parametrize("kind, top", TYPE2_CASES,
+                         ids=[f"{kind.value}-{top.value}" for kind, top in TYPE2_CASES])
+def test_every_type2_class_on_a_real_jet(kind, top):
+    """One exact jet per (kind, class): its class, the closed-form and the
+    derivative-based analyses agreeing, every root's sector count, and a
+    portrait at the benchmark's size with four separatrices per saddle (the
+    OneNode portraits hold only the 8 curves of their side seeds)."""
+    cubic = _cubic_of(kind, *TYPE2_PSI[top])
+    jet = _jet_from_cubic(kind, *cubic)
+    assert closed_form_cubic(jet, kind) == cubic
+    assert classify_edge_foliation(jet, kind).top_class is top
+    field = build_geometric_bde(jet, kind)
+    derived = cubic_analysis(lift(field, CHART_Q))
+    closed = closed_form_analysis(jet, kind)
+    assert np.allclose(derived.roots, closed.roots, rtol=0, atol=1e-9)
+    types = [r.lifted_type for r in derived.per_root]
+    assert types == [r.lifted_type for r in closed.per_root]
+    assert [c.pattern for c in local_sector_counts(field, derived)] == types
+    portrait = trace_portrait(
+        field, TraceConfig(box=0.15, seeds_per_side=8, max_steps=120))
+    assert portrait.curves
+    assert len(portrait.separatrices) == 4 * types.count("saddle")
+
+
 @pytest.mark.parametrize("cubic, alpha", [
     (invariants.asymptotic_cubic, invariants.asymptotic_alpha),
     (invariants.characteristic_cubic, invariants.characteristic_alpha),

@@ -23,6 +23,7 @@ from edgefol.tracer import (
     TERM_CAP,
     SectorCount,
     TraceConfig,
+    _eigenframe,
     _integrate_batch,
     _probe_circle,
     _swap_uv,
@@ -342,11 +343,30 @@ def test_sector_counts_match_types_on_worked_jets():
             analysis = cubic_analysis(lift(field, CHART_Q))
             counts = local_sector_counts(field, analysis)
             for i, (count, data) in enumerate(zip(counts, analysis.per_root)):
-                assert count.matches(data.lifted_type), (jet, kind, i)
-                assert count.sectors == (4 if data.lifted_type == "saddle" else 2)
+                assert count.pattern == data.lifted_type, (jet, kind, i)
 
 
-def test_mixed_batch_rows_match_one_row_batches():
+def test_eigenframe_columns_are_unit_eigenvectors_fiber_first():
+    """Every root of the first 20 sampled jets, both Type-2 kinds, in both
+    charts: the fiber's (0, 1) with eigenvalue J11 = -phi', then the
+    transverse eigenvector with eigenvalue J00 = alpha, each of unit norm."""
+    for seed in range(20):
+        jet = sample_generic_jet(seed, "edge_degenerate")
+        for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
+            field = build_geometric_bde(jet, kind)
+            analysis = cubic_analysis(lift(field, CHART_Q))
+            for chart in (CHART_P, CHART_Q):
+                eq = lift(field, chart)
+                for root in analysis.roots_in(chart):
+                    jac, basis = _eigenframe(eq, root)
+                    assert basis[:, 0].tolist() == [0.0, 1.0]
+                    assert np.allclose(np.hypot(*basis), 1.0, rtol=0, atol=1e-15)
+                    for vec, lam in zip(basis.T, (jac[1, 1], jac[0, 0])):
+                        assert np.allclose(jac @ vec, lam * vec, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(jac)))
+
+
+def test_mixed_batch_rows_match_one_row_batches(monkeypatch):
     """Seeds of one batch (both charts, each with its own probe ball and its
     chart's singular set) follow, both ways, exactly the trajectories they
     follow alone."""
@@ -363,7 +383,8 @@ def test_mixed_batch_rows_match_one_row_batches():
              for c in circles for k in (0, 5, 11)]
     seeds += [((0.0, 0.0, 0.0), True, 1e-3, (0.0, 0.0), 0.0, 1e9, np.eye(2))]
     states, q, step, *ball = (np.array(col) for col in zip(*seeds))
-    options = dict(max_steps=3000, singular_stop=2e-3,
+    monkeypatch.setattr(tracer, "SINGULAR_STOP", 2e-3)
+    options = dict(max_steps=3000,
                    singular={CHART_Q: analysis.roots,
                              CHART_P: [1.0 / r for r in analysis.roots]})
     mixed = _integrate_batch(core, states, q, step=step, ball=tuple(ball),
@@ -492,8 +513,7 @@ def test_sector_counts_nearly_defective_node():
     analysis = cubic_analysis(lift(field, CHART_Q))
     assert [r.lifted_type for r in analysis.per_root] == ["node", "saddle", "saddle"]
     counts = local_sector_counts(field, analysis)
-    assert [c.matches(r.lifted_type) for c, r in zip(counts, analysis.per_root)] \
-        == [True] * 3
+    assert [c.pattern for c in counts] == ["node", "saddle", "saddle"]
 
 
 def test_step_capped_probes_are_classified_by_their_weak_coordinate(monkeypatch):
@@ -528,7 +548,7 @@ def test_sector_counts_find_nodes():
         for i, data in enumerate(analysis.per_root):
             if data.lifted_type == "node":
                 count = local_sector_count(field, analysis, i)
-                assert count.sectors == 2 and count.pattern == "node"
+                assert count.pattern == "node"
                 found = True
                 break
         if found:
