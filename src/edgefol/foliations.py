@@ -43,7 +43,7 @@ from .errors import (
     EdgefolError,
     PropositionHypothesisViolated,
 )
-from .geometry import _half, form_polynomials
+from .geometry import REQUEST_JETS, _half, form_polynomials
 from .jets import EdgeJet
 
 DEGREE_CAP = 6               # total degree kept in the BDE coefficients
@@ -72,14 +72,15 @@ def parse_kind(name: str) -> FoliationKind:
         raise ValueError(f"unknown foliation kind {name!r}") from None
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=REQUEST_JETS)
 def build_geometric_bde(jet: EdgeJet, kind: FoliationKind) -> BdeField:
     """Assemble the v-factored BDE of the requested foliation.
 
     Coefficients are exact polynomials truncated at total degree DEGREE_CAP;
     truncation happens after the structural division by v, so every
-    retained coefficient is exact.  Cached per (jet, kind): classification
-    and tracing of one jet share the one BDE.
+    retained coefficient is exact.  Memoized for one request (REQUEST_JETS
+    entries, keyed by the jet's values and coefficient types, and the kind):
+    classification and tracing of one jet in one request share the one BDE.
     """
     kind = FoliationKind(kind)
     fp = form_polynomials(jet)

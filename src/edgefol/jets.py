@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,15 @@ class HigherTerms:
         return not (self.h1 or self.h2 or self.h3 or self.h4 or self.h5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeJet:
-    """Validated normal-form coefficients of a cuspidal edge."""
+    """Validated normal-form coefficients of a cuspidal edge.
+
+    Jets compare and hash by their values and by the type of each
+    coefficient.  0 == Fraction(0) == 0.0, but the polynomials memoized per
+    jet are written in its coefficient type, so an exact jet and an equal
+    float jet must not share a memo entry.
+    """
 
     a20: float
     a30: float
@@ -67,6 +74,22 @@ class EdgeJet:
     b12: float
     b03: float
     higher: HigherTerms = field(default_factory=HigherTerms)
+
+    @cached_property
+    def _key(self):
+        coeffs = (self.a20, self.a30, self.b20, self.b30, self.b12, self.b03)
+        h = self.higher
+        types = tuple(map(type, (*coeffs, *h.h1, *h.h2, *h.h3, *h.h4,
+                                 *(c for _, _, c in h.h5))))
+        return coeffs, h, types
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 def _is_number(value) -> bool:

@@ -158,6 +158,18 @@ class Poly2:
         return "Poly2(" + " + ".join(parts) + ")"
 
 
+def power_table(x, degree):
+    """x**e for e = 0..degree as an (n, degree + 1) array, filled degree by
+    degree as x^(e-1) * x: the products and layout of
+    np.vander(x, degree + 1, increasing=True), so sums over it keep their
+    bits, without vander's strided accumulate (6x slower at 5000 points)."""
+    table = np.empty((len(x), degree + 1))
+    table[:, 0] = 1.0
+    for e in range(1, degree + 1):
+        np.multiply(table[:, e - 1], x, out=table[:, e])
+    return table
+
+
 class CompiledPolySet:
     """Several polynomials evaluated in one einsum against shared power tables."""
 
@@ -177,6 +189,5 @@ class CompiledPolySet:
     def values(self, u, v):
         """Evaluate every polynomial at the 1-D points (u, v); returns an
         array of shape (npolys, n)."""
-        U = np.vander(u, self.du + 1, increasing=True)
-        V = np.vander(v, self.dv + 1, increasing=True)
-        return np.einsum("...i,kij,...j->k...", U, self.mats, V)
+        return np.einsum("...i,kij,...j->k...", power_table(u, self.du),
+                         self.mats, power_table(v, self.dv))

@@ -49,7 +49,7 @@ from .bde import (
 from .errors import DegenerateDiscriminant, EdgefolError
 from .geometry import surface_polynomials
 from .jets import EdgeJet
-from .poly import CompiledPolySet
+from .poly import CompiledPolySet, power_table
 
 SEED_RESIDUAL_TOL = 1e-8
 CHART_BOUND = 1e3
@@ -505,9 +505,8 @@ def discriminant_locus(delta, box: float):
     """
     xs = np.linspace(-box, box, LOCUS_GRID)
     cp = CompiledPolySet([delta])
-    U = np.vander(xs, cp.du + 1, increasing=True)
-    V = np.vander(xs, cp.dv + 1, increasing=True)
-    vals = U @ cp.mats[0] @ V.T       # vals[i, j] = delta(xs[i], xs[j])
+    vals = (power_table(xs, cp.du) @ cp.mats[0]
+            @ power_table(xs, cp.dv).T)   # vals[i, j] = delta(xs[i], xs[j])
     pos = vals > 0.0
     i, j = np.nonzero(
         (pos[:-1, :-1] != pos[1:, :-1]) | (pos[:-1, :-1] != pos[:-1, 1:])

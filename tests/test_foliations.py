@@ -1,5 +1,6 @@
 """Geometric BDEs of the edge: construction, closed forms, classification."""
 
+import gc
 import hashlib
 import json
 import math
@@ -33,9 +34,16 @@ from edgefol.foliations import (
     hypothesis_failures,
     parse_kind,
 )
+from edgefol.geometry import REQUEST_JETS, form_polynomials, surface_polynomials
 from edgefol.invariants import cubic_discriminant
 from edgefol.jets import EdgeJet, sample_generic_jet, validate_jet
-from edgefol.tracer import TraceConfig, local_sector_counts, trace_portrait
+from edgefol.render import curves_to_csv
+from edgefol.tracer import (
+    TraceConfig,
+    local_sector_counts,
+    project_to_surface,
+    trace_portrait,
+)
 
 KINDS = (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC)
 
@@ -439,6 +447,82 @@ def test_classify_and_build_share_one_cache_entry(monkeypatch):
     info = build_geometric_bde.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert seen == [bde] and seen[0] is bde
+
+
+MEMOS = (build_geometric_bde, form_polynomials, surface_polynomials)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _memo_polys(name, jet):
+    if name == "surface_polynomials":
+        return surface_polynomials(jet)
+    if name == "form_polynomials":
+        fp = form_polynomials(jet)
+        return (*fp[:6], *fp.nu2)
+    bdes = [build_geometric_bde(jet, kind) for kind in FoliationKind]
+    return [f for bde in bdes for f in (bde.A, bde.B, bde.C)]
+
+
+@pytest.mark.parametrize("name", [memo.__name__ for memo in MEMOS])
+@pytest.mark.parametrize("exact_first", [True, False],
+                         ids=["exact-first", "float-first"])
+def test_memos_keep_each_jet_in_its_coefficient_type(name, exact_first):
+    """A Fraction jet gets Fraction polynomials and an equal float jet float
+    ones, whichever of the two was memoized first (the structural
+    coefficients, such as f1 = u, are ints in both)."""
+    exact = EdgeJet(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 8),
+                    Fraction(-1), Fraction(1))
+    floats = EdgeJet(0.0, 0.0, 0.0, 0.125, -1.0, 1.0)
+    _clear_memos()
+    order = (exact, floats) if exact_first else (floats, exact)
+    types = {jet: {type(c) for poly in _memo_polys(name, jet)
+                   for c in poly.terms.values()} for jet in order}
+    assert Fraction in types[exact] and types[exact] <= {Fraction, int}
+    assert float in types[floats] and types[floats] <= {float, int}
+
+
+def test_memos_are_sized_to_one_request():
+    """Classifying 300 fresh jets leaves at most REQUEST_JETS entries in each
+    memo, and the tracked heap stops growing: over the second 150 jets it
+    grows by less than 500 objects.  With 512-entry memos it grew by 3160
+    (a bound about 6x below that, and well above the 0 measured at 8)."""
+    assert {memo.cache_info().maxsize for memo in MEMOS} == {REQUEST_JETS}
+    counts = []
+    for seed in range(300):
+        jet = sample_generic_jet(seed, ("generic", "edge_degenerate")[seed % 2])
+        for kind in FoliationKind:
+            classify_edge_foliation(jet, kind)
+        if seed in (149, 299):
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+    assert all(memo.cache_info().currsize <= REQUEST_JETS for memo in MEMOS)
+    assert counts[1] - counts[0] < 500
+
+
+def test_memo_reuse_inside_one_request():
+    # one classify request: the three foliations share one jet's forms
+    jet = sample_generic_jet(11, "edge_degenerate")
+    _clear_memos()
+    for kind in FoliationKind:
+        classify_edge_foliation(jet, kind)
+    info = form_polynomials.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # one portrait request: build, classify, trace, CSV and surface view
+    jet, kind = EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0), FoliationKind.ASYMPTOTIC
+    _clear_memos()
+    bde = build_geometric_bde(jet, kind)
+    classify_edge_foliation(jet, kind)
+    portrait = trace_portrait(bde, TraceConfig(box=0.15, seeds_per_side=8,
+                                               max_steps=120))
+    curves_to_csv(portrait, jet)
+    project_to_surface(jet, portrait)
+    builds, surface = build_geometric_bde.cache_info(), surface_polynomials.cache_info()
+    assert (builds.misses, builds.hits) == (1, 1)
+    assert (surface.misses, surface.hits) == (1, 2)
 
 
 def test_hypothesis_guard_example():

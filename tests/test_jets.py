@@ -17,6 +17,7 @@ from edgefol.errors import (
 )
 from edgefol.jets import (
     EdgeJet,
+    HigherTerms,
     dump_jet,
     load_jet,
     sample_generic_jet,
@@ -114,6 +115,21 @@ def test_int_float_fraction_and_numpy_reals_accepted():
     assert (jet.a20, jet.a30, jet.b30, jet.b12, jet.b03) == (0.5, 0.25, 2.0, 3.0, 1.5)
     assert jet.higher.h1 == (0.25, 1.0)
     assert jet.higher.h5 == ((1, 2, 0.125),)
+
+
+def test_jets_of_equal_value_and_other_coefficient_types_differ():
+    # 0 == Fraction(0) == 0.0, but memos keyed by a jet return polynomials
+    # in its coefficient type, so the type is part of the jet's identity
+    exact = EdgeJet(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 8),
+                    Fraction(-1), Fraction(1))
+    floats = EdgeJet(0.0, 0.0, 0.0, 0.125, -1.0, 1.0)
+    assert exact != floats and len({exact, floats}) == 2
+    again = EdgeJet(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 8),
+                    Fraction(-1), Fraction(1))
+    assert exact == again and hash(exact) == hash(again)
+    assert EdgeJet(0.0, 0.0, 0.0, 0.125, -1.0, 1.0, HigherTerms(h1=(1.0,))) \
+        != EdgeJet(0.0, 0.0, 0.0, 0.125, -1.0, 1.0, HigherTerms(h1=(Fraction(1),)))
+    assert floats != (0.0, 0.0, 0.0, 0.125, -1.0, 1.0)
 
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgefol.poly import CompiledPolySet, Poly2
+from edgefol.poly import CompiledPolySet, Poly2, power_table
 
 coeffs = st.integers(min_value=-5, max_value=5)
 polys = st.builds(
@@ -88,3 +88,21 @@ def test_compiled_set_evaluates_all_members():
     vals = cset.values(np.array([2.0]), np.array([5.0]))
     assert vals.shape == (3, 1)
     assert np.allclose(vals[:, 0], [2.0, 5.0, 3.0])
+
+
+@pytest.mark.parametrize("n", [1, 60, 512, 5000])
+def test_power_table_keeps_the_bits_of_vander(n):
+    """power_table is np.vander's table, bit for bit and in its layout, so
+    the einsum of CompiledPolySet.values sums in the same order."""
+    rng = np.random.default_rng(n)
+    u, v = rng.uniform(-1.5, 1.5, (2, n))
+    mats = rng.normal(size=(3, 8, 6)) * 10.0 ** rng.integers(-5, 5, (3, 8, 6))
+    for x, degree in ((u, 7), (v, 5), (u, 0)):
+        assert np.array_equal(power_table(x, degree),
+                              np.vander(x, degree + 1, increasing=True))
+    cset = CompiledPolySet([Poly2({ij: float(c) for ij, c in np.ndenumerate(m)})
+                            for m in mats])
+    assert np.array_equal(cset.mats, mats)
+    reference = np.einsum("...i,kij,...j->k...", np.vander(u, 8, increasing=True),
+                          mats, np.vander(v, 6, increasing=True))
+    assert np.array_equal(cset.values(u, v), reference)
