@@ -15,13 +15,14 @@ both of which satisfy grad F . xi == 0 identically, so integral curves stay on
 every level set of F exactly.  The chart-q equation of (A, B, C) is the
 chart-p equation of the u/v swapped tensor (C, B, A): a relabelling.  That
 chart rule lives here alone: `DUAL` names the other chart,
-`CubicAnalysis.roots_in` reads the singular roots there, and `chart_tensor`
-writes the swap once.  `LiftedEquation` and the one compiled evaluator,
-`_ChartCore` (F, F_w, F_x and F_p of both charts in one table of monomials
-over the internal coordinates), both read it.  The tracer's RK4 loop, the
-fiber Newton solve, the differenced Jacobian of the eigenvalue oracle and
-the tangency oracle of `verify` read the table.  A `BdeField` owns its
-evaluator (`BdeField.core`), compiled once on first use.
+`CubicAnalysis.roots_in` reads the singular roots there, `BdeField.chart_q`
+writes the swap, once per BDE, and `chart_tensor` hands out either chart's
+tensor.  `LiftedEquation` and the one compiled evaluator, `_ChartCore` (F,
+F_w, F_x and F_p of both charts in one table of monomials over the internal
+coordinates), both read it.  The tracer's RK4 loop, the fiber Newton solve,
+the differenced Jacobian of the eigenvalue oracle and the tangency oracle of
+`verify` read the table.  A `BdeField` owns its evaluator (`BdeField.core`),
+compiled once on first use.
 
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
@@ -102,6 +103,15 @@ class BdeField:
         return tuple(float(f.coeff(0, 0)) for f in (self.A, self.B, self.C))
 
     @cached_property
+    def chart_q(self) -> tuple:
+        """Chart q's tensor (`chart_tensor`): (C, B, A) with u and v swapped,
+        the one place the swap is written, once per BDE on first use."""
+        swapped = (Poly2(), Poly2(), Poly2())   # the terms as stored, as in chart p
+        for s, f in zip(swapped, (self.C, self.B, self.A)):
+            s.terms = {(j, i): c for (i, j), c in f.terms.items()}
+        return swapped
+
+    @cached_property
     def core(self) -> _ChartCore:
         """The compiled lifted field, built once per BDE on first use."""
         return _ChartCore(self)
@@ -120,29 +130,47 @@ def unique_direction_at_origin(bde: BdeField):
     return d1 if math.hypot(*d1) >= math.hypot(*d2) else d2
 
 
-def delta_and_case(bde: BdeField):
-    """2-jet of delta = B^2 - A*C (all that classify reads) and origin case.
+def discriminant_2jet(bde: BdeField) -> Poly2:
+    """The 2-jet of delta, from the 2-jets of A, B and C with each product
+    capped at degree 2: `discriminant_poly(bde).truncated(2)`, item for item."""
+    A, B, C = (f.truncated(2) for f in (bde.A, bde.B, bde.C))
+    return B.product(B, 2) - A.product(C, 2)
 
-    Zero tests are scale-free: coefficients are normalized by the largest
-    coefficient magnitude before comparing against CASE_TOL.
-    """
+
+def delta_and_case(bde: BdeField):
+    """2-jet of delta = B^2 - A*C (all that classify reads) and origin case,
+    split by `origin_case` at the BDE's coefficient scale."""
     scale = bde.coefficient_scale()
+    delta = discriminant_2jet(bde)
+    return delta, origin_case(bde, delta, scale)
+
+
+def origin_case(bde: BdeField, delta: Poly2, scale: float) -> Case:
+    """Origin case of a BDE from its values at the origin, the 2-jet `delta`
+    of its discriminant and its coefficient scale: the one case split.
+    `delta_and_case` reads it at the BDE's own scale, classification at both
+    ends of a scale bracket (`foliations._origin_case`).
+
+    Zero tests are scale-free: coefficients are normalized by `scale`, the
+    largest coefficient magnitude, before comparing against CASE_TOL.  Each
+    test is monotone in `scale`, so as it grows the outcome moves through
+    Case 1, Case 2, DegenerateDiscriminant and Case 3, each holding on one
+    interval of scales.
+    """
     if scale == 0.0:
         raise ValueError("zero BDE")
     if not math.isfinite(scale):
         raise OverflowError("BDE coefficients overflow the float range")
-    jet2 = BdeField(*(f.truncated(2) for f in (bde.A, bde.B, bde.C)))
-    delta = discriminant_poly(jet2).truncated(2)
     a0, b0, c0 = bde.origin_values()
     if max(abs(a0), abs(b0), abs(c0)) <= scale * CASE_TOL:
-        return delta, Case.CASE3
+        return Case.CASE3
 
     d0 = float(delta.coeff(0, 0))
     dscale = scale * scale
     if d0 > dscale * CASE_TOL:
-        return delta, Case.CASE1_REGULAR
+        return Case.CASE1_REGULAR
     if d0 < -dscale * CASE_TOL:
-        return delta, Case.CASE1_DISCRIMINANT
+        return Case.CASE1_DISCRIMINANT
 
     grad = (float(delta.coeff(1, 0)), float(delta.coeff(0, 1)))
     gnorm = math.hypot(*grad)
@@ -155,8 +183,8 @@ def delta_and_case(bde: BdeField):
     dnorm = math.hypot(*direction)
     alignment = (grad[0] * direction[0] + grad[1] * direction[1]) / (gnorm * dnorm)
     if abs(alignment) > CASE_TOL:
-        return delta, Case.CASE2_TRANSVERSE
-    return delta, Case.CASE2_TANGENT
+        return Case.CASE2_TRANSVERSE
+    return Case.CASE2_TANGENT
 
 
 # --- lifted equation and field ---
@@ -170,13 +198,8 @@ EVAL_BLOCK = 2048    # rows per table evaluation: bounds its temporaries
 def chart_tensor(bde: BdeField, chart: str):
     """The chart's tensor (a, b, c) over the internal (w, x), with
     F = a p^2 + 2b p + c: (A, B, C) in chart p, the u/v-swapped (C, B, A)
-    in chart q."""
-    if chart == CHART_P:
-        return bde.A, bde.B, bde.C
-    swapped = (Poly2(), Poly2(), Poly2())   # the terms as stored, as in chart p
-    for s, f in zip(swapped, (bde.C, bde.B, bde.A)):
-        s.terms = {(j, i): c for (i, j), c in f.terms.items()}
-    return swapped
+    in chart q, which the BDE holds (`BdeField.chart_q`)."""
+    return (bde.A, bde.B, bde.C) if chart == CHART_P else bde.chart_q
 
 
 def _chart_columns(a: Poly2, b: Poly2, c: Poly2):

@@ -10,6 +10,10 @@ and of the structural factor v where one exists:
   characteristic:      the harmonic-mean-curvature tensor, quadratic in the
                        second-form data, divided by its overall factor v.
 
+Each kind's formula is written once (`_geometric_bde`): at degree 6 it
+builds the BDE that tracing integrates, at degree 2 it classifies lines of
+curvature and the characteristic foliation (`_origin_case`).
+
 For the asymptotic and characteristic equations the limiting normal
 curvature b20 decides everything at the origin: b20 != 0 gives a fold point
 whose solutions are a family of cusps, b20 = 0 gives an all-coefficients-
@@ -34,7 +38,9 @@ from .bde import (
     analyse_cubic,
     classify_type2,
     delta_and_case,
+    discriminant_2jet,
     hessian_det_origin,
+    origin_case,
 )
 from .errors import (
     CommonRoot,
@@ -76,29 +82,83 @@ def parse_kind(name: str) -> FoliationKind:
 def build_geometric_bde(jet: EdgeJet, kind: FoliationKind) -> BdeField:
     """Assemble the v-factored BDE of the requested foliation.
 
-    Coefficients are exact polynomials truncated at total degree DEGREE_CAP;
-    truncation happens after the structural division by v, so every
-    retained coefficient is exact.  Memoized for one request (REQUEST_JETS
-    entries, keyed by the jet's values and coefficient types, and the kind):
-    classification and tracing of one jet in one request share the one BDE.
+    Coefficients are exact polynomials through total degree DEGREE_CAP
+    (`_geometric_bde`).  Memoized for the last jet and kind (REQUEST_JETS),
+    keyed by the jet's values and coefficient types: a request that traces
+    a jet and classifies its asymptotic foliation builds the BDE once.  The
+    other two kinds classify from their exact 2-jet (`_origin_case`).
     """
     kind = FoliationKind(kind)
-    fp = form_polynomials(jet)
-    if kind is FoliationKind.ASYMPTOTIC:
-        return BdeField(*(f.truncated(DEGREE_CAP) for f in (fp.N2, fp.M2, fp.L2)))
-    pre = DEGREE_CAP + 1
-    E, F, G, L2, M2, N2 = (f.truncated(pre)
-                           for f in (fp.E, fp.F, fp.G, fp.L2, fp.M2, fp.N2))
+    return _geometric_bde(jet, form_polynomials(jet), kind, DEGREE_CAP)
 
-    def over_v(poly):
-        return poly.truncated(pre).divide_v()
+
+def _geometric_bde(jet: EdgeJet, fp, kind: FoliationKind, cap: int) -> BdeField:
+    """The kind's BDE from the jet's forms `fp`, exact through total degree
+    `cap`.  Every product drops its terms above cap + 1 as it multiplies
+    (`Poly2.product`), and the division by v leaves degree cap; the kept
+    coefficients and their key order are those of the uncapped products
+    truncated, so a term's bits do not depend on the cap.
+    """
+    if kind is FoliationKind.ASYMPTOTIC:
+        return BdeField(*(f.truncated(cap) for f in (fp.N2, fp.M2, fp.L2)))
+    pre = cap + 1
+    E, F, G, L2, M2, N2 = (f.truncated(pre) for f in fp[:6])
+
+    def mul(f, *factors):
+        for g in factors:
+            f = f.product(g, pre)
+        return f
 
     if kind is FoliationKind.LINES_OF_CURVATURE:
-        return BdeField(over_v(F * N2 - G * M2),
-                        over_v(E * N2 - G * L2) * _half(jet), over_v(E * M2 - F * L2))
-    return BdeField(over_v(2 * M2 * (G * M2 - F * N2) - N2 * (G * L2 - E * N2)),
-                    over_v(M2 * (G * L2 + E * N2) - 2 * F * L2 * N2),
-                    over_v(L2 * (G * L2 - E * N2) - 2 * M2 * (F * L2 - E * M2)))
+        return BdeField((mul(F, N2) - mul(G, M2)).divide_v(),
+                        (mul(E, N2) - mul(G, L2)).divide_v() * _half(jet),
+                        (mul(E, M2) - mul(F, L2)).divide_v())
+    return BdeField(
+        (mul(2 * M2, mul(G, M2) - mul(F, N2))
+         - mul(N2, mul(G, L2) - mul(E, N2))).divide_v(),
+        (mul(M2, mul(G, L2) + mul(E, N2)) - mul(2 * F, L2, N2)).divide_v(),
+        (mul(L2, mul(G, L2) - mul(E, N2))
+         - mul(2 * M2, mul(F, L2) - mul(E, M2))).divide_v())
+
+
+def _scale_bound(fp, kind: FoliationKind) -> float:
+    """An upper bound on the coefficient scale of the lines-of-curvature or
+    characteristic BDE at any cap, from its forms `fp`; it may raise
+    ArithmeticError or come out infinite.  Each coefficient sums products of
+    two forms with L1 norm 2 L^2 in all (lines of curvature), or of three
+    with 6 L^3 (characteristic), L the largest L1 norm of the six forms;
+    truncation and the division by v never raise a norm, and 1e-9 leaves
+    room for the rounding of the bound and of the BDE."""
+    norm = max(float(sum(map(abs, f.terms.values()))) for f in fp[:6])
+    bound = 2.0 * norm**2 if kind is FoliationKind.LINES_OF_CURVATURE else 6.0 * norm**3
+    return bound * (1.0 + 1e-9)
+
+
+def _origin_case(jet: EdgeJet, kind: FoliationKind):
+    """(BDE, delta 2-jet, case) as `delta_and_case` gives them for the full
+    BDE; the returned BDE agrees with the full one through degree 2.
+
+    Lines of curvature and the characteristic foliation are split from the
+    exact 2-jet at both ends of a bracket around the full coefficient scale:
+    the 2-jet's own scale (its coefficients are some of the full ones) and
+    `_scale_bound`.  Each case holds on one interval of scales
+    (`origin_case`), so one case at both ends is the full BDE's.  Where the
+    ends differ or either raises, the full BDE decides, as it always does
+    for the asymptotic kind.
+    """
+    if kind is not FoliationKind.ASYMPTOTIC:
+        fp = form_polynomials(jet)
+        jet2 = _geometric_bde(jet, fp, kind, 2)
+        delta = discriminant_2jet(jet2)
+        try:
+            ends = {origin_case(jet2, delta, scale)
+                    for scale in (jet2.coefficient_scale(), _scale_bound(fp, kind))}
+        except (ArithmeticError, ValueError, DegenerateDiscriminant):
+            ends = ()
+        if len(ends) == 1:
+            return jet2, delta, ends.pop()
+    bde = build_geometric_bde(jet, kind)
+    return (bde, *delta_and_case(bde))
 
 
 # --- closed-form analysis ---
@@ -218,7 +278,9 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind) -> EdgeClassifica
     five Type-2 portraits when b20 = 0 under the genericity hypotheses;
     hypothesis failures, and jets whose float arithmetic overflows, are
     reported as Degenerate, never raised.  An overflow leaves out the
-    invariants it stopped and the case.
+    invariants it stopped and the case.  Lines of curvature and the
+    characteristic foliation are split from the exact 2-jet of their BDE,
+    with the full BDE's output (`_origin_case`).
     """
     kind = FoliationKind(kind)
     inv = {}
@@ -230,14 +292,13 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind) -> EdgeClassifica
 
 
 def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassification:
-    bde = build_geometric_bde(jet, kind)
     inv["b20"] = jet.b20   # filled in turn: an overflow keeps earlier entries
     inv["b30_minus_a20_b12"] = float(
         invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12))
     inv["common_root_guard"] = float(
         invariants.common_root_guard(jet.b30, jet.b12, jet.b03))
     try:
-        delta, case = delta_and_case(bde)
+        bde, delta, case = _origin_case(jet, kind)
     except DegenerateDiscriminant as exc:
         return EdgeClassification(kind, TopClass.DEGENERATE, None, inv,
                                   degenerate_reason=f"{type(exc).__name__}: {exc}")

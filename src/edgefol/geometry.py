@@ -21,21 +21,22 @@ from .poly import Poly2
 # Entries kept by each memo keyed by a jet: this module's two and
 # `foliations.build_geometric_bde`.  Reuse happens inside one request, with no
 # other jet in between: the three foliations of a jet share its form
-# polynomials, a portrait's BDE serves its classification and its trace, and
-# one surface map serves the forms, the CSV and the surface view.  One entry
-# would keep every such hit.  The only reuse across requests is the two
-# constant jets of `verify.documented_discrepancies`, five trial jets apart in
-# a one-trial `run_verify`; 8 keeps them too.  An entry held longer only adds
-# exact polynomials for each generation-2 collection to walk: in a 20-s
-# classify loop (2-core Xeon, Python 3.11) the longest such pause was 38-39 ms
-# with 512 entries and 14-15 ms with 8.
-REQUEST_JETS = 8
+# polynomials, a portrait's BDE serves its trace (and the classification of
+# an asymptotic foliation), and one surface map serves the forms, the CSV and
+# the surface view.  One entry keeps every such hit.  The only reuse it gives
+# up is across requests: `verify.documented_discrepancies` rebuilds the forms
+# of its two constant jets on every run, 0.48 ms against 0.23 ms, of a
+# 55-75 ms one-trial `run_verify`.  An entry held longer only adds exact
+# polynomials for the collector to promote and walk: over 36,000 classify
+# requests (2-core Xeon, Python 3.11.7) 8 entries took 23 generation-2
+# collections of 10-13 ms, one entry 5.
+REQUEST_JETS = 1
 
 
 @lru_cache(maxsize=REQUEST_JETS)
 def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:
     """The three coordinate polynomials of the normal-form parametrization,
-    in the jet's coefficient type; memoized for one request (REQUEST_JETS)."""
+    in the jet's coefficient type; memoized for the last jet (REQUEST_JETS)."""
     h = jet.higher
     f1 = Poly2.monomial(1, 0)
     f2 = (
@@ -90,7 +91,7 @@ def _cross(a, b):
 @lru_cache(maxsize=REQUEST_JETS)
 def form_polynomials(jet: EdgeJet) -> FormPolynomials:
     """E, F, G, L2, M2, N2 and nu2 of the jet, exact in its coefficient type;
-    memoized for one request (REQUEST_JETS), keyed by value and type."""
+    memoized for the last jet (REQUEST_JETS), keyed by value and type."""
     f = surface_polynomials(jet)
     fu = tuple(p.diff("u") for p in f)
     fv = tuple(p.diff("v") for p in f)

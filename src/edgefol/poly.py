@@ -9,6 +9,7 @@ discriminant locus and the surface map.
 
 from __future__ import annotations
 
+import math
 from numbers import Number
 
 import numpy as np
@@ -75,9 +76,22 @@ class Poly2:
             res = Poly2.__new__(Poly2)
             res.terms = {k: c * other for k, c in self.terms.items()}
             return res
+        return self.product(other, math.inf)
+
+    __rmul__ = __mul__
+
+    def product(self, other, cap):
+        """self * other without its terms above total degree `cap`, each
+        dropped as it is multiplied.  A kept key sees the same additions in
+        the same order, so the result equals (self * other).truncated(cap)
+        as an item list: values, types and the order later sums follow."""
+        right = [(i, j, i + j, c) for (i, j), c in other.terms.items()]
         out = {}
         for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+            room = cap - i1 - j1
+            for i2, j2, d2, c2 in right:
+                if d2 > room:
+                    continue
                 key = (i1 + i2, j1 + j2)
                 s = out.get(key, 0) + c1 * c2
                 if s == 0:
@@ -87,8 +101,6 @@ class Poly2:
         res = Poly2.__new__(Poly2)
         res.terms = out
         return res
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Number):

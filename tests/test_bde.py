@@ -268,6 +268,36 @@ def test_delta_and_case_returns_the_discriminant_2jet():
             assert delta == discriminant_poly(field).truncated(2)
 
 
+def test_origin_case_moves_one_way_as_the_scale_grows():
+    """As the coefficient scale grows, origin_case runs through Case 1,
+    Case 2, DegenerateDiscriminant and Case 3 and never comes back, with one
+    Case 1 and one Case 2 variant per BDE: each outcome holds on one
+    interval of scales, so one outcome at both ends of a scale bracket is
+    the outcome at every scale inside it."""
+    stage = {Case.CASE1_REGULAR: 0, Case.CASE1_DISCRIMINANT: 0,
+             Case.CASE2_TRANSVERSE: 1, Case.CASE2_TANGENT: 1,
+             DegenerateDiscriminant: 2, Case.CASE3: 3}
+    scales = np.geomspace(1e-3, 1e14, 400)
+    stages_seen = set()
+    for seed in range(40):
+        for scenario in ("generic", "edge_degenerate"):
+            for kind in FoliationKind:
+                field = build_geometric_bde(sample_generic_jet(seed, scenario), kind)
+                delta = bde_mod.discriminant_2jet(field)
+                outcomes = []
+                for scale in scales:
+                    try:
+                        outcomes.append(bde_mod.origin_case(field, delta, float(scale)))
+                    except DegenerateDiscriminant:
+                        outcomes.append(DegenerateDiscriminant)
+                stages = [stage[o] for o in outcomes]
+                assert stages == sorted(stages), (seed, scenario, kind)
+                assert all(len({o for o in outcomes if stage[o] == k}) <= 1
+                           for k in (0, 1))
+                stages_seen.update(stages)
+    assert stages_seen == {0, 1, 2, 3}
+
+
 def test_solve_fiber_coordinate_lands_on_surface():
     """The fiber Newton solve returns a point of M in either chart, checked
     against F evaluated from the exact A, B, C; an array of points solves

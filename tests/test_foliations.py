@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from edgefol import invariants
+from edgefol import foliations, invariants
 from edgefol.bde import (
     CHART_Q,
     Case,
     TopClass,
     cubic_analysis,
     delta_and_case,
+    discriminant_2jet,
     discriminant_poly,
     hessian_det_origin,
     lift,
@@ -447,6 +448,106 @@ def test_classify_and_build_share_one_cache_entry(monkeypatch):
     info = build_geometric_bde.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert seen == [bde] and seen[0] is bde
+
+
+# the jet of test_classify_degenerate_discriminant_reported_not_raised
+DEGENERATE_DISCRIMINANT_JET = EdgeJet(
+    a20=1.8326254198917673, a30=-1.1288815147959674, b20=0.00016399349644413697,
+    b30=0.8770688933117707, b12=-1.9014670044780781, b03=0.14352657812054792)
+TWO_JET_KINDS = (FoliationKind.LINES_OF_CURVATURE, FoliationKind.CHARACTERISTIC)
+
+
+def _items(poly):
+    return [(key, type(c), c) for key, c in poly.terms.items()]
+
+
+def test_two_jet_bde_is_the_full_bde_truncated():
+    """The assembly at cap 2, which classification reads, is the full BDE's
+    2-jet item for item (values, types and key order), and so is its delta
+    2-jet; the 2-jet's scale and `_scale_bound` bracket the full scale."""
+    jets = [sample_generic_jet(seed, scenario) for seed in range(200)
+            for scenario in ("generic", "edge_degenerate")]
+    jets += [EdgeJet(*(Fraction(x) for x in ("0", "0", "0", "1/10", "-1", "1"))),
+             EdgeJet(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4),
+                     Fraction(1, 7), Fraction(-1), Fraction(3, 2))]
+    for jet in jets:
+        fp = form_polynomials(jet)
+        for kind in TWO_JET_KINDS:
+            full = build_geometric_bde(jet, kind)
+            jet2 = foliations._geometric_bde(jet, fp, kind, 2)
+            for part, whole in zip((jet2.A, jet2.B, jet2.C),
+                                   (full.A, full.B, full.C)):
+                assert _items(part) == _items(whole.truncated(2)), (jet, kind)
+            assert _items(discriminant_2jet(jet2)) \
+                == _items(discriminant_poly(full).truncated(2))
+            scale = full.coefficient_scale()
+            assert jet2.coefficient_scale() <= scale <= foliations._scale_bound(fp, kind)
+
+
+@pytest.fixture
+def full_builds(monkeypatch):
+    """The kinds whose full BDE classification builds, in call order."""
+    calls = []
+
+    def recording_build(jet, kind):
+        calls.append(kind)
+        return build_geometric_bde(jet, kind)
+
+    monkeypatch.setattr(foliations, "build_geometric_bde", recording_build)
+    return calls
+
+
+def test_uncertified_case_falls_back_to_the_full_bde(full_builds):
+    """The degenerate-discriminant jet reads Case2Transverse at the 2-jet's
+    scale and DegenerateDiscriminant at the bound, so the full BDE decides,
+    with the bytes the full-BDE classifier gave; a generic jet's lines of
+    curvature and characteristic foliation build no full BDE."""
+    cls = classify_edge_foliation(DEGENERATE_DISCRIMINANT_JET,
+                                  FoliationKind.CHARACTERISTIC)
+    assert full_builds == [FoliationKind.CHARACTERISTIC]
+    assert hashlib.sha256(cls.to_json().encode()).hexdigest() == (
+        "7fa1937ae147bc21d36300fb6fb568b136fbad67b6fd89a59749148f7942f0df")
+    full_builds.clear()
+    for kind in TWO_JET_KINDS:
+        classify_edge_foliation(sample_generic_jet(3, "edge_degenerate"), kind)
+    assert full_builds == []
+
+
+def test_overflowing_jets_keep_their_bytes(full_builds):
+    """a20 = 1e200 overflows the forms, so the scale bound is infinite and
+    every kind reaches the full BDE, whose overflow is the reason; b12 =
+    1e150 overflows an invariant before any BDE is built.  The documents are
+    the full-BDE classifier's, byte for byte."""
+    digest = hashlib.sha256()
+    for record in OVERFLOW_JETS:
+        for kind in FoliationKind:
+            full_builds.clear()
+            cls = classify_edge_foliation(validate_jet(record), kind)
+            digest.update(cls.to_json().encode())
+            assert full_builds == ([kind] if record["a20"] == 1e200 else [])
+    assert digest.hexdigest() == (
+        "1b0878482f325ea1c9c2258b9d4b3c9c7ffc1ec0b61e6d0e3db5eeda8fb56d26")
+
+
+def test_two_jet_documents_equal_full_bde_documents(monkeypatch, full_builds):
+    """Classification from the 2-jet writes the documents that the full BDE
+    gives every kind, on 2000 sampled jets.  73 of their 4000
+    lines-of-curvature and characteristic classifications (1.8 %) fall back
+    to the full BDE."""
+    jets = [sample_generic_jet(seed, scenario) for seed in range(1000)
+            for scenario in ("generic", "edge_degenerate")]
+    docs = [classify_edge_foliation(jet, kind).to_json()
+            for jet in jets for kind in FoliationKind]
+    fallbacks = sum(kind is not FoliationKind.ASYMPTOTIC for kind in full_builds)
+
+    def full_bde_case(jet, kind):
+        bde = build_geometric_bde(jet, kind)
+        return (bde, *delta_and_case(bde))
+
+    monkeypatch.setattr(foliations, "_origin_case", full_bde_case)
+    assert docs == [classify_edge_foliation(jet, kind).to_json()
+                    for jet in jets for kind in FoliationKind]
+    assert fallbacks == 73
 
 
 MEMOS = (build_geometric_bde, form_polynomials, surface_polynomials)

@@ -16,6 +16,13 @@ polys = st.builds(
         st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=8
     ),
 )
+mixed_polys = st.builds(   # int and float coefficients, cancelling and not
+    Poly2,
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.one_of(coeffs, st.floats(-3, 3, allow_nan=False)), max_size=8,
+    ),
+)
 points = st.tuples(
     st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False)
 )
@@ -62,6 +69,21 @@ def test_fraction_coefficients_stay_exact():
     assert q.coeff(1, 2) == 2 * Fraction(1, 3) * Fraction(2, 7)
     assert p(Fraction(1, 2), Fraction(1, 5)) == \
         Fraction(1, 3) * Fraction(1, 2) + Fraction(2, 7) * Fraction(1, 25)
+
+
+def _items(p):
+    return [(key, type(c), c) for key, c in p.terms.items()]
+
+
+@given(mixed_polys, mixed_polys, mixed_polys, st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_capped_product_is_the_truncated_product(p, q, r, cap):
+    """Poly2.product drops the terms above its cap as it multiplies, and
+    keeps the item list of the truncated full product: values, types and
+    key order.  So sums and products over capped products keep their bits."""
+    assert _items(p.product(q, cap)) == _items((p * q).truncated(cap))
+    assert _items(p.product(q, cap) - r.product(p, cap).product(q, cap)) \
+        == _items((p * q - r * p * q).truncated(cap))
 
 
 def test_truncation_drops_only_high_degrees():
