@@ -270,7 +270,7 @@ class _ChartCore:
         out[:, 0], out[:, 1], out[:, 2] = Fp, p * Fp, -(Fu + p * Fv)
         return out
 
-    def rhs(self, S, q, normalize=False):
+    def rhs(self, S, q, normalize):
         """`xi` per internal row, scaled to unit length if `normalize`."""
         out = self.xi(S[:, 2], *self.F_and_gradient(S, q)[1:])
         if normalize:

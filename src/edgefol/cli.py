@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -198,7 +199,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate_numeric(args)
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: it takes no message, and the final flush
+        # goes to os.devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except ConfigError as exc:
         _emit_error(args, exc)
         return 2

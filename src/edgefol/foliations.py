@@ -174,23 +174,15 @@ _CLOSED_FORMS = {
 }
 
 
-def _closed_form(jet: EdgeJet, kind: FoliationKind, which: int):
+def closed_forms(jet: EdgeJet, kind: FoliationKind):
+    """(cubic, eigenvalue quadratic, discriminant) of the kind's Type-2
+    closed forms, in the jet's coefficient type.  Float overflow raises
+    OverflowError, and it does so whenever one of the three would alone:
+    the discriminant's powers cover those of the other two."""
     forms = _CLOSED_FORMS.get(FoliationKind(kind))
     if forms is None:
         raise ValueError("lines of curvature have no Type-2 cubic")
-    return forms[which](jet.a20, jet.b30, jet.b12, jet.b03)
-
-
-def closed_form_cubic(jet: EdgeJet, kind: FoliationKind):
-    return _closed_form(jet, kind, 0)
-
-
-def closed_form_alpha(jet: EdgeJet, kind: FoliationKind):
-    return _closed_form(jet, kind, 1)
-
-
-def closed_form_discriminant(jet: EdgeJet, kind: FoliationKind):
-    return _closed_form(jet, kind, 2)
+    return tuple(f(jet.a20, jet.b30, jet.b12, jet.b03) for f in forms)
 
 
 def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:
@@ -209,8 +201,7 @@ def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:
     deriv = invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12)
     if abs(deriv) <= HYPOTHESIS_TOL:
         failed.append("b30 - a20*b12 != 0")
-    d = closed_form_discriminant(jet, kind)
-    if abs(d) <= HYPOTHESIS_TOL:
+    if abs(closed_forms(jet, kind)[2]) <= HYPOTHESIS_TOL:
         failed.append("D != 0")
     guard = invariants.common_root_guard(jet.b30, jet.b12, jet.b03)
     if abs(guard) <= HYPOTHESIS_TOL:
@@ -229,8 +220,9 @@ def closed_form_analysis(jet: EdgeJet, kind: FoliationKind) -> CubicAnalysis:
     failed = hypothesis_failures(jet, kind)
     if failed:
         raise PropositionHypothesisViolated(failed)
-    phi = tuple(float(c) for c in closed_form_cubic(jet, kind))
-    alpha = tuple(float(c) for c in closed_form_alpha(jet, kind))
+    cubic, quadratic, _ = closed_forms(jet, kind)
+    phi = tuple(float(c) for c in cubic)
+    alpha = tuple(float(c) for c in quadratic)
     try:
         return analyse_cubic(phi, alpha, CHART_Q)
     except DiscriminantNearZero:
@@ -306,7 +298,9 @@ def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassificatio
     if kind is FoliationKind.LINES_OF_CURVATURE:
         inv["b_origin"] = float(bde.B.coeff(0, 0))
         inv["delta_origin"] = float(delta.coeff(0, 0))
-        if case is not Case.CASE1_REGULAR:  # pragma: no cover - b03 != 0 forbids it
+        # b03 != 0 keeps B(0, 0) off zero, but a large coefficient scale can
+        # put it under CASE_TOL (b12 = 1e20 gives Case 3): Degenerate
+        if case is not Case.CASE1_REGULAR:
             return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
                                       degenerate_reason=f"unexpected case {case.value}")
         return EdgeClassification(kind, TopClass.REGULAR_PAIR, case, inv)
@@ -333,7 +327,7 @@ def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassificatio
         inv["hessian_det"] = hess
         top = classify_type2(analysis, hess)
     except EdgefolError as exc:
-        inv.setdefault("D", float(closed_form_discriminant(jet, kind)))
+        inv.setdefault("D", float(closed_forms(jet, kind)[2]))
         return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
                                   degenerate_reason=f"{type(exc).__name__}: {exc}")
     return EdgeClassification(kind, top, case, inv, analysis=analysis)

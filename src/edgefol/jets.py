@@ -190,17 +190,15 @@ def validate_jet(raw) -> EdgeJet:
 
 # --- file format ---
 
-def jet_to_dict(jet: EdgeJet) -> dict:
+def dump_jet(jet: EdgeJet) -> str:
+    """The jet as JSON text that `load_jet` reads back: the six
+    coefficients and each nonzero higher-term array."""
     out = {k: getattr(jet, k) for k in COEFF_KEYS}
     for k in HIGHER_KEYS:
         terms = getattr(jet.higher, k)
         if terms:
             out[k] = [list(t) for t in terms] if k == "h5" else list(terms)
-    return out
-
-
-def dump_jet(jet: EdgeJet) -> str:
-    return json.dumps(jet_to_dict(jet), indent=2, sort_keys=True)
+    return json.dumps(out, indent=2, sort_keys=True)
 
 
 def load_jet(text_or_path) -> EdgeJet:

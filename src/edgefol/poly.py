@@ -26,10 +26,6 @@ class Poly2:
     # --- constructors ---
 
     @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
     def monomial(cls, i, j, c=1):
         return cls({(i, j): c})
 
@@ -41,8 +37,6 @@ class Poly2:
     # --- algebra ---
 
     def __add__(self, other):
-        if isinstance(other, Number):
-            other = Poly2.const(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c
@@ -54,20 +48,13 @@ class Poly2:
         res.terms = out
         return res
 
-    __radd__ = __add__
-
     def __neg__(self):
         res = Poly2.__new__(Poly2)
         res.terms = {k: -c for k, c in self.terms.items()}
         return res
 
     def __sub__(self, other):
-        if isinstance(other, Number):
-            other = Poly2.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Number):
@@ -103,14 +90,9 @@ class Poly2:
         return res
 
     def __eq__(self, other):
-        if isinstance(other, Number):
-            other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # --- calculus and structure ---
 
@@ -125,13 +107,13 @@ class Poly2:
         res.terms = out
         return res
 
-    def divide_v(self, k=1):
-        """Exact quotient by v^k; raises if any term has v-degree below k."""
+    def divide_v(self):
+        """Exact quotient by v; raises if any term has no factor v."""
         out = {}
         for (i, j), c in self.terms.items():
-            if j < k:
-                raise ValueError(f"not divisible by v^{k}: term u^{i} v^{j}")
-            out[(i, j - k)] = c
+            if j == 0:
+                raise ValueError(f"not divisible by v: term u^{i}")
+            out[(i, j - 1)] = c
         res = Poly2.__new__(Poly2)
         res.terms = out
         return res
@@ -148,9 +130,6 @@ class Poly2:
 
     def max_abs(self):
         return max((abs(c) for c in self.terms.values()), default=0)
-
-    def is_zero(self):
-        return not self.terms
 
     # --- evaluation ---
 

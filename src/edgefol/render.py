@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bde import CHART_Q
 from .errors import EmptyPortrait
 from .geometry import surface_polynomials
 from .jets import EdgeJet
@@ -82,10 +83,11 @@ def _thin(points_xy):
     return points_xy[idx]
 
 
-def _polyline(points_xy, *, cls, color, width, dashed=False) -> str:
+def _polyline(points_xy, *, cls, color, width) -> str:
+    """One polyline element; separatrices are dashed."""
     xy = _thin(np.asarray(points_xy)) * (1.0, -1.0) + 0.0   # -0.0 -> 0.0
     pts = " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist())
-    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    dash = ' stroke-dasharray="6 4"' if cls == "separatrix" else ""
     return (f'<polyline class="{cls}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash} points="{pts}" />')
 
@@ -95,7 +97,7 @@ def _kinds(style: RenderStyle, scale: float) -> dict:
     return {
         "curve": dict(color=style.curve_color, width=style.curve_width * scale),
         "separatrix": dict(color=style.separatrix_color,
-                           width=style.separatrix_width * scale, dashed=True),
+                           width=style.separatrix_width * scale),
         "discriminant": dict(color=style.discriminant_color,
                              width=style.discriminant_width * scale),
         "edge": dict(color=style.edge_color, width=style.edge_width * scale),
@@ -118,8 +120,9 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
 
     Integral curves are solid polylines, separatrices dashed, the
     discriminant locus gets its own color, and each lifted singular point is
-    marked at the origin with a direction tick.  The configuration tag is
-    embedded as an XML comment so golden-file tests can assert on it.
+    marked at the origin with a tick along its direction du:dv, read in the
+    chart of the portrait's analysis.  The configuration tag is embedded as
+    an XML comment so golden-file tests can assert on it.
     """
     if not portrait.curves:
         raise EmptyPortrait("portrait contains no curves")
@@ -135,9 +138,10 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
     tick = 6.0 * style.marker_radius * scale
     for value, lifted_type in portrait.singular_points:
         # all Type-2 singular points sit over the origin; the tick shows the
-        # direction (du:dv) of the root
-        norm = math.hypot(value, 1.0)
-        dx, dy = value / norm, 1.0 / norm
+        # root's direction du:dv, (q, 1) in chart q and (1, p) in chart p
+        du, dv = (value, 1.0) if portrait.analysis.chart == CHART_Q else (1.0, value)
+        norm = math.hypot(du, dv)
+        dx, dy = du / norm, dv / norm
         parts.append(
             f'<line class="singular-tick" x1="{_fmt(-tick * dx)}" '
             f'y1="{_fmt(tick * dy)}" x2="{_fmt(tick * dx)}" '

@@ -87,10 +87,10 @@ class TracedCurve:
     chart: str
     termination: str             # forward-time stop reason
     termination_backward: str
-    is_separatrix: bool = False
-    max_residual: float = 0.0
-    seed_index: int = -1
-    seed_sample: int = 0         # position of the seed within samples
+    is_separatrix: bool
+    max_residual: float
+    seed_index: int              # -1 for a chart continuation
+    seed_sample: int             # position of the seed within samples
 
     @property
     def projected(self) -> np.ndarray:
@@ -103,12 +103,18 @@ class TracedCurve:
 @dataclass
 class Portrait:
     curves: list
-    singular_points: tuple       # ((chart value, lifted type), ...) over the origin
     discriminant_locus: list     # polylines of {delta = 0}
     box: float
     case: Case | None            # None: discriminant too degenerate to split
-    analysis: CubicAnalysis | None = None
-    warnings: int = 0
+    analysis: CubicAnalysis | None   # the Case-3 lifted zeros over the origin
+    warnings: int
+
+    @property
+    def singular_points(self) -> tuple:
+        """((root, lifted type), ...) of the analysis, in its chart."""
+        if self.analysis is None:
+            return ()
+        return tuple((r.root, r.lifted_type) for r in self.analysis.per_root)
 
     @property
     def separatrices(self):
@@ -130,7 +136,7 @@ class _BatchResult:
     samples: np.ndarray | None   # each seed's curve in turn, internal coordinates
 
 
-def _newton_p(core: _ChartCore, S, q, ftol=0.0) -> bool:
+def _newton_p(core: _ChartCore, S, q, ftol) -> bool:
     """One Newton step in the chart variable toward F = 0, in place on the
     rows of S.  Rows with |F_p| <= 1e-12 or |F| < ftol keep their value;
     returns whether any row moved."""
@@ -223,7 +229,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
         elif scheduled or np.count_nonzero(stiff):
             rows = slice(None) if scheduled else stiff
             part = nxt[rows]
-            _newton_p(core, part, qa[rows])
+            _newton_p(core, part, qa[rows], 0.0)
             nxt[rows] = part
         nonfinite = ~(np.isfinite(w) & np.isfinite(x) & np.isfinite(p))
         wild = (
@@ -236,7 +242,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
         # a wild row keeps its last accepted sample, re-projected onto M in p
         if np.count_nonzero(wild):
             frozen = cur[wild]
-            _newton_p(core, frozen, qa[wild])
+            _newton_p(core, frozen, qa[wild], 0.0)
             nxt[wild] = frozen
         out = np.maximum(np.abs(w), np.abs(x)) > box
         leaving = out & ~wild
@@ -474,10 +480,8 @@ def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
             w, x = (u, v) if chart == CHART_P else (v, u)
             worklist.append((chart, (w, x, value), False))
 
-    singular_points = ()
     singular_by_chart = {}
     if analysis is not None:
-        singular_points = tuple((r.root, r.lifted_type) for r in analysis.per_root)
         singular_by_chart = {chart: analysis.roots_in(chart) for chart in DUAL}
         worklist += [(analysis.chart, state, True)
                      for state in _separatrix_seeds(bde, analysis)]
@@ -488,9 +492,8 @@ def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
     warnings += dropped
 
     locus = discriminant_locus(delta, config.box)
-    return Portrait(curves=curves, singular_points=singular_points,
-                    discriminant_locus=locus, box=config.box, case=case,
-                    analysis=analysis, warnings=warnings)
+    return Portrait(curves=curves, discriminant_locus=locus, box=config.box,
+                    case=case, analysis=analysis, warnings=warnings)
 
 
 # --- discriminant locus by marching squares ---

@@ -14,6 +14,7 @@ byte-identical for a fixed seed regardless of worker count or scheduling.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +36,8 @@ from .bde import (
 from .foliations import (
     FoliationKind,
     build_geometric_bde,
-    closed_form_alpha,
     closed_form_analysis,
-    closed_form_cubic,
-    closed_form_discriminant,
+    closed_forms,
     classify_edge_foliation,
 )
 from .geometry import form_polynomials, series_expansion_report
@@ -91,10 +90,9 @@ def _closed_form_trial(args):
     worst = 0.0
     for kind in _GEOMETRIC_KINDS:
         eq = lift(build_geometric_bde(jet, kind), CHART_Q)
-        for extracted, closed in (
-            (eq.phi_coefficients(), closed_form_cubic(jet, kind)),
-            (eq.alpha_coefficients(), closed_form_alpha(jet, kind)),
-        ):
+        cubic, quadratic, _ = closed_forms(jet, kind)
+        for extracted, closed in ((eq.phi_coefficients(), cubic),
+                                  (eq.alpha_coefficients(), quadratic)):
             for a, b in zip(extracted, closed):
                 worst = max(worst, _rel_err(float(a), float(b)))
     return worst <= tol, worst
@@ -105,10 +103,9 @@ def _discriminant_trial(args):
     jet = sample_generic_jet(_trial_seed(master, 2, index), "edge_degenerate")
     worst = 0.0
     for kind in _GEOMETRIC_KINDS:
-        closed = float(closed_form_discriminant(jet, kind))
-        generic = float(invariants.cubic_discriminant(
-            *closed_form_cubic(jet, kind)))
-        worst = max(worst, _rel_err(closed, generic))
+        cubic, _, closed = closed_forms(jet, kind)
+        generic = float(invariants.cubic_discriminant(*cubic))
+        worst = max(worst, _rel_err(float(closed), generic))
     return worst <= tol, worst
 
 
@@ -271,8 +268,7 @@ def documented_discrepancies():
 
     jet = EdgeJet(Fraction(4), Fraction(0), Fraction(0), Fraction(1),
                   Fraction(0), Fraction(1))
-    d_as = closed_form_discriminant(jet, FoliationKind.ASYMPTOTIC)
-    d_ch = closed_form_discriminant(jet, FoliationKind.CHARACTERISTIC)
+    d_as, d_ch = (closed_forms(jet, kind)[2] for kind in _GEOMETRIC_KINDS)
     out.append((
         f"b12 = 0 counterexample: D_as = {d_as}, D_ch = {d_ch} "
         "(equal-discriminant remark fails, signs even differ)",
@@ -337,10 +333,8 @@ def format_verify_report(report: VerifyReport) -> str:
 def _survey_trial(args):
     master, index = args
     jet = sample_generic_jet(_trial_seed(master, 10, index), "edge_degenerate")
-    pair = []
-    for kind in _GEOMETRIC_KINDS:
-        pair.append(classify_edge_foliation(jet, kind).top_class.value)
-    return tuple(pair)
+    return tuple(classify_edge_foliation(jet, kind).top_class.value
+                 for kind in _GEOMETRIC_KINDS)
 
 
 def run_survey(trials: int, seed: int, workers: int):
@@ -348,14 +342,10 @@ def run_survey(trials: int, seed: int, workers: int):
     jets, plus their co-occurrence counts.  Exploratory: no pass/fail."""
     results = _run_trials(_survey_trial, [(seed, i) for i in range(trials)],
                           workers)
-    freq = {kind.value: {} for kind in _GEOMETRIC_KINDS}
-    co = {}
-    for asym, char in results:
-        freq["asymptotic"][asym] = freq["asymptotic"].get(asym, 0) + 1
-        freq["characteristic"][char] = freq["characteristic"].get(char, 0) + 1
-        co[(asym, char)] = co.get((asym, char), 0) + 1
+    freq = {kind.value: Counter(pair[i] for pair in results)
+            for i, kind in enumerate(_GEOMETRIC_KINDS)}
     return {"trials": trials, "seed": seed, "frequencies": freq,
-            "cooccurrence": co}
+            "cooccurrence": Counter(results)}
 
 
 def format_survey_report(survey: dict) -> str:

@@ -34,10 +34,8 @@ from edgefol.foliations import (
     FoliationKind,
     build_geometric_bde,
     classify_edge_foliation,
-    closed_form_alpha,
     closed_form_analysis,
-    closed_form_cubic,
-    closed_form_discriminant,
+    closed_forms,
 )
 from edgefol.invariants import cubic_discriminant
 from edgefol.jets import EdgeJet, sample_generic_jet
@@ -67,10 +65,10 @@ def test_criterion_1_closed_form_agreement():
         for kind in GEOMETRIC:
             eq = lift(build_geometric_bde(jet, kind), CHART_Q)
             for got, want in zip(eq.phi_coefficients(),
-                                 closed_form_cubic(jet, kind)):
+                                 closed_forms(jet, kind)[0]):
                 worst = max(worst, _rel(float(got), float(want)))
             for got, want in zip(eq.alpha_coefficients(),
-                                 closed_form_alpha(jet, kind)):
+                                 closed_forms(jet, kind)[1]):
                 worst = max(worst, _rel(float(got), float(want)))
     elapsed = time.perf_counter() - start
     _report(1, worst <= 1e-10 and elapsed <= 30.0,
@@ -83,21 +81,21 @@ def test_criterion_2_discriminant_identity():
     for index in range(1000):
         jet = sample_generic_jet(10_000 + index, "edge_degenerate")
         for kind in GEOMETRIC:
-            closed = float(closed_form_discriminant(jet, kind))
-            generic = float(cubic_discriminant(*closed_form_cubic(jet, kind)))
+            cubic, _, closed = closed_forms(jet, kind)
+            closed, generic = float(closed), float(cubic_discriminant(*cubic))
             worst = max(worst, abs(closed - generic)
                         / max(1.0, abs(closed), abs(generic)))
     jet = EdgeJet(Fraction(4), Fraction(0), Fraction(0), Fraction(1),
                   Fraction(0), Fraction(1))
     exact_ok = (
-        closed_form_discriminant(jet, FoliationKind.ASYMPTOTIC)
+        closed_forms(jet, FoliationKind.ASYMPTOTIC)[2]
         == Fraction(37, 4)
-        and closed_form_discriminant(jet, FoliationKind.CHARACTERISTIC)
+        and closed_forms(jet, FoliationKind.CHARACTERISTIC)[2]
         == Fraction(-91, 64)
-        and cubic_discriminant(*closed_form_cubic(jet, FoliationKind.ASYMPTOTIC))
+        and cubic_discriminant(*closed_forms(jet, FoliationKind.ASYMPTOTIC)[0])
         == Fraction(37, 4)
         and cubic_discriminant(
-            *closed_form_cubic(jet, FoliationKind.CHARACTERISTIC))
+            *closed_forms(jet, FoliationKind.CHARACTERISTIC)[0])
         == Fraction(-91, 64)
     )
     _report(2, worst <= 1e-12 and exact_ok,

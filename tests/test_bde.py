@@ -43,7 +43,7 @@ from edgefol.poly import Poly2
 
 U = Poly2.monomial(1, 0)
 V = Poly2.monomial(0, 1)
-ONE = Poly2.const(1.0)
+ONE = Poly2.monomial(0, 0, 1.0)
 
 
 def bde(a, b, c):
@@ -53,7 +53,7 @@ def bde(a, b, c):
 # --- delta_and_case ---
 
 def test_case1_regular():
-    _, case = delta_and_case(bde(ONE, Poly2(), Poly2.const(-1.0)))
+    _, case = delta_and_case(bde(ONE, Poly2(), Poly2.monomial(0, 0, -1.0)))
     assert case is Case.CASE1_REGULAR
 
 
@@ -95,7 +95,7 @@ def test_lifted_field_vanishing_fp_kills_base_motion():
     # chart p: F = p^2 + u; chart q: F = v + q^2.  F_p = 0 at the origin
     for chart, field in ((CHART_P, bde(ONE, Poly2(), U)),
                          (CHART_Q, bde(V, Poly2(), ONE))):
-        xi = field.core.rhs(np.zeros((1, 3)), chart == CHART_Q)[0]
+        xi = field.core.rhs(np.zeros((1, 3)), chart == CHART_Q, False)[0]
         assert xi[0] == 0.0 and xi[1] == 0.0
         assert xi[2] == -1.0
 
@@ -124,10 +124,10 @@ def test_lifted_field_tangency_identity():
             u, v, p = rng.normal(size=3)
             fu, fv, fp = grad = _exact_gradient(polys, chart, u, v, p)
             if chart == CHART_P:
-                xi = core.rhs(np.array([[u, v, p]]), False)[0]
+                xi = core.rhs(np.array([[u, v, p]]), False, False)[0]
                 expected = (fp, p * fp, -(fu + p * fv))
             else:
-                xi = core.rhs(np.array([[v, u, p]]), True)[0][[1, 0, 2]]
+                xi = core.rhs(np.array([[v, u, p]]), True, False)[0][[1, 0, 2]]
                 expected = (p * fp, fp, -(p * fu + fv))
             size = 1.0 + np.linalg.norm(expected)
             assert np.all(np.abs(xi - expected) <= 1e-13 * size)
@@ -170,7 +170,7 @@ def test_chart_q_is_chart_p_of_the_swapped_tensor():
         swapped = _swap_tensor(field)
         S = rng.uniform(-0.5, 0.5, (64, 3)) * (1.0, 1.0, 10.0)
         q = rng.random(64) < 0.5
-        pairs = [(field.core.rhs(S, q), swapped.core.rhs(S, False))]
+        pairs = [(field.core.rhs(S, q, False), swapped.core.rhs(S, False, False))]
         pairs += zip(field.core.F_and_gradient(S, q),
                      swapped.core.F_and_gradient(S, False))
         for got, want in pairs:
@@ -330,7 +330,7 @@ def test_solve_fiber_coordinate_lands_on_surface():
 
 
 def test_unique_direction_for_fold_is_dv():
-    field = bde(Poly2.monomial(0, 1, 0.5), U, Poly2.const(2.0) + V)
+    field = bde(Poly2.monomial(0, 1, 0.5), U, Poly2.monomial(0, 0, 2.0) + V)
     # origin values (0, 0, 2): direction (-b, c) = (0, 2) ~ dv
     d = unique_direction_at_origin(field)
     assert d[0] == 0.0 and d[1] != 0.0

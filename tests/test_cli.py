@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -318,3 +322,23 @@ def test_unknown_foliation_rejected(jet_file, capsys):
                "--foliation", "bogus"])
     assert rc == 2
 
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_closed_stdout_exits_2_without_a_message(jet_file, flags):
+    """A reader that has closed stdout (`edgefol classify ... | head -n 0`)
+    gets no traceback and no error message: the command exits 2, the I/O
+    status."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgefol.cli", *flags, "classify",
+             "--jet", jet_file(SADDLE_JET), "--foliation", "asymptotic"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 2

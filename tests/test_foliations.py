@@ -13,6 +13,7 @@ import sympy as sp
 from edgefol import foliations, invariants
 from edgefol.bde import (
     CHART_Q,
+    SIGN_CONVENTION_NOTE,
     Case,
     TopClass,
     cubic_analysis,
@@ -28,10 +29,8 @@ from edgefol.foliations import (
     FoliationKind,
     build_geometric_bde,
     classify_edge_foliation,
-    closed_form_alpha,
     closed_form_analysis,
-    closed_form_cubic,
-    closed_form_discriminant,
+    closed_forms,
     hypothesis_failures,
     parse_kind,
 )
@@ -86,10 +85,10 @@ def test_closed_forms_match_derivative_extraction():
         for kind in KINDS:
             eq = lift(build_geometric_bde(jet, kind), CHART_Q)
             for got, want in zip(eq.phi_coefficients(),
-                                 closed_form_cubic(jet, kind)):
+                                 closed_forms(jet, kind)[0]):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
             for got, want in zip(eq.alpha_coefficients(),
-                                 closed_form_alpha(jet, kind)):
+                                 closed_forms(jet, kind)[1]):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
 
 
@@ -103,9 +102,9 @@ def test_closed_forms_hold_with_higher_terms():
                                  h4=(0.9,), h5=((0, 0, 0.6), (2, 1, -0.7))))
     for kind in KINDS:
         eq = lift(build_geometric_bde(bumped, kind), CHART_Q)
-        for got, want in zip(eq.phi_coefficients(), closed_form_cubic(base, kind)):
+        for got, want in zip(eq.phi_coefficients(), closed_forms(base, kind)[0]):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
-        for got, want in zip(eq.alpha_coefficients(), closed_form_alpha(base, kind)):
+        for got, want in zip(eq.alpha_coefficients(), closed_forms(base, kind)[1]):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
 
 
@@ -113,8 +112,8 @@ def test_discriminant_identity_random():
     for seed in range(150):
         jet = sample_generic_jet(seed, "edge_degenerate")
         for kind in KINDS:
-            closed = float(closed_form_discriminant(jet, kind))
-            generic = float(cubic_discriminant(*closed_form_cubic(jet, kind)))
+            cubic, _, closed = closed_forms(jet, kind)
+            closed, generic = float(closed), float(cubic_discriminant(*cubic))
             assert abs(closed - generic) <= 1e-12 * max(1.0, abs(closed),
                                                         abs(generic))
 
@@ -122,14 +121,14 @@ def test_discriminant_identity_random():
 def test_discriminant_worked_rational_pair():
     jet = EdgeJet(Fraction(4), Fraction(0), Fraction(0), Fraction(1),
                   Fraction(0), Fraction(1))
-    d_as = closed_form_discriminant(jet, FoliationKind.ASYMPTOTIC)
-    d_ch = closed_form_discriminant(jet, FoliationKind.CHARACTERISTIC)
+    d_as = closed_forms(jet, FoliationKind.ASYMPTOTIC)[2]
+    d_ch = closed_forms(jet, FoliationKind.CHARACTERISTIC)[2]
     assert d_as == Fraction(37, 4)
     assert d_ch == Fraction(-91, 64)
-    assert cubic_discriminant(*closed_form_cubic(jet, FoliationKind.ASYMPTOTIC)) \
+    assert cubic_discriminant(*closed_forms(jet, FoliationKind.ASYMPTOTIC)[0]) \
         == Fraction(37, 4)
     assert cubic_discriminant(
-        *closed_form_cubic(jet, FoliationKind.CHARACTERISTIC)) == Fraction(-91, 64)
+        *closed_forms(jet, FoliationKind.CHARACTERISTIC)[0]) == Fraction(-91, 64)
 
 
 def test_equal_discriminant_remark_fails_at_b12_zero():
@@ -137,8 +136,8 @@ def test_equal_discriminant_remark_fails_at_b12_zero():
     not equal; here they even have opposite signs."""
     jet = EdgeJet(Fraction(4), Fraction(0), Fraction(0), Fraction(1),
                   Fraction(0), Fraction(1))
-    d_as = closed_form_discriminant(jet, FoliationKind.ASYMPTOTIC)
-    d_ch = closed_form_discriminant(jet, FoliationKind.CHARACTERISTIC)
+    d_as = closed_forms(jet, FoliationKind.ASYMPTOTIC)[2]
+    d_ch = closed_forms(jet, FoliationKind.CHARACTERISTIC)[2]
     assert jet.b12 == 0
     assert d_as != d_ch
     assert (d_as > 0) and (d_ch < 0)
@@ -163,8 +162,8 @@ def test_common_root_identity_and_resultant():
     rng = np.random.default_rng(9)
     for seed in range(60):
         jet = sample_generic_jet(seed, "edge_degenerate")
-        c3, c2, c1, c0 = closed_form_cubic(jet, FoliationKind.ASYMPTOTIC)
-        a2, a1, a0 = closed_form_alpha(jet, FoliationKind.ASYMPTOTIC)
+        (c3, c2, c1, c0), (a2, a1, a0), _ = closed_forms(
+            jet, FoliationKind.ASYMPTOTIC)
         # p*alpha - 2*phi coefficientwise: cubic term a2-2c3, etc.
         assert math.isclose(a2 - 2 * c3, 0.0, abs_tol=1e-12)
         assert math.isclose(a1 - 2 * c2, 0.0, abs_tol=1e-12)
@@ -185,8 +184,7 @@ def test_common_root_identity_and_resultant():
         jet = EdgeJet(a20, 0.0, 0.0, b30, b12, b03)
         if abs(jet.b30 - jet.a20 * jet.b12) < 1e-3:
             continue
-        cubic = closed_form_cubic(jet, FoliationKind.ASYMPTOTIC)
-        quad = closed_form_alpha(jet, FoliationKind.ASYMPTOTIC)
+        cubic, quad, _ = closed_forms(jet, FoliationKind.ASYMPTOTIC)
         res = _sylvester_resultant_cubic_quadratic(cubic, quad)
         scale = max(abs(x) for x in cubic + quad) ** 5
         assert abs(res) <= 1e-9 * max(1.0, scale)
@@ -259,7 +257,7 @@ ONE_SADDLE_TWO_NODES_JETS = [
 @pytest.mark.parametrize("kind, jet, roots", ONE_SADDLE_TWO_NODES_JETS,
                          ids=[kind.value for kind, _, _ in ONE_SADDLE_TWO_NODES_JETS])
 def test_one_saddle_two_nodes_on_real_jets(kind, jet, roots):
-    c3, c2, c1, c0 = closed_form_cubic(jet, kind)
+    c3, c2, c1, c0 = closed_forms(jet, kind)[0]
     assert [c3 * r**3 + c2 * r**2 + c1 * r + c0 for r in roots] == [0, 0, 0]
     assert classify_edge_foliation(jet, kind).top_class \
         is TopClass.ONE_SADDLE_TWO_NODES
@@ -328,7 +326,7 @@ TYPE2_CASES = [(kind, top) for kind in KINDS for top in TYPE2_PSI]
 
 def test_jet_from_cubic_inverts_the_closed_forms():
     for kind, jet, roots in ONE_SADDLE_TWO_NODES_JETS:
-        cubic = closed_form_cubic(jet, kind)
+        cubic = closed_forms(jet, kind)[0]
         assert _jet_from_cubic(kind, *cubic) == jet
         assert _cubic_of(FoliationKind.ASYMPTOTIC, *((-r,) for r in roots)) \
             == tuple(c / cubic[0] for c in cubic)
@@ -343,7 +341,7 @@ def test_every_type2_class_on_a_real_jet(kind, top):
     OneNode portraits hold only the 8 curves of their side seeds)."""
     cubic = _cubic_of(kind, *TYPE2_PSI[top])
     jet = _jet_from_cubic(kind, *cubic)
-    assert closed_form_cubic(jet, kind) == cubic
+    assert closed_forms(jet, kind)[0] == cubic
     assert classify_edge_foliation(jet, kind).top_class is top
     field = build_geometric_bde(jet, kind)
     derived = cubic_analysis(lift(field, CHART_Q))
@@ -423,12 +421,13 @@ def test_closed_form_analysis_error_lists_failures():
     assert "b30 - a20*b12 != 0" in info.value.failed
 
 
-@pytest.mark.parametrize("closed_form", [
-    closed_form_cubic, closed_form_alpha, closed_form_discriminant])
-def test_closed_forms_refuse_lines_of_curvature(closed_form):
+# one case per form closed_forms returns: (cubic, alpha, discriminant)
+@pytest.mark.parametrize("part", [0, 1, 2], ids=[
+    "closed_form_cubic", "closed_form_alpha", "closed_form_discriminant"])
+def test_closed_forms_refuse_lines_of_curvature(part):
     jet = EdgeJet(0.0, 0.0, 0.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="no Type-2 cubic"):
-        closed_form(jet, FoliationKind.LINES_OF_CURVATURE)
+        closed_forms(jet, FoliationKind.LINES_OF_CURVATURE)[part]
 
 
 def test_classify_and_build_share_one_cache_entry(monkeypatch):
@@ -652,6 +651,59 @@ def test_top_class_invariant_under_normal_form_reflections():
                 for name, image in _reflections(jet):
                     got = classify_edge_foliation(image, kind).top_class
                     assert got is want, (scenario, seed, kind, name)
+
+
+# the jets the CI step classifies: the flat characteristic jet (a case the
+# 2-jet cannot certify) and three whose float arithmetic overflows or nearly
+MIRROR_CI_JETS = (
+    DEGENERATE_DISCRIMINANT_JET,
+    EdgeJet(0.0, 0.0, 0.0, 0.1, 1e150, 1.0),
+    EdgeJet(0.0, 0.0, 0.0, 0.1, 1e20, 1.0),
+    EdgeJet(1e200, 0.0, 0.0, 0.1, -1.0, 1.0),
+)
+
+
+def test_mirrored_jet_classifies_as_the_mirror_image():
+    """The jet reflected by u -> -u has the mirrored foliations, p -> -p and
+    q -> -q: the same class, case and reason, and the negated roots with
+    the same lifted types."""
+    jets = [sample_generic_jet(seed, scenario) for seed in range(200)
+            for scenario in ("generic", "edge_degenerate")]
+    for jet in jets + list(MIRROR_CI_JETS):
+        mirror = next(_reflections(jet))[1]
+        for kind in FoliationKind:
+            want, got = (classify_edge_foliation(j, kind) for j in (jet, mirror))
+            assert (got.top_class, got.case, got.degenerate_reason) == (
+                want.top_class, want.case, want.degenerate_reason), (jet, kind)
+            assert (got.analysis is None) == (want.analysis is None)
+            if want.analysis is None:
+                continue
+            assert got.analysis.chart == want.analysis.chart
+            negated = sorted((-r.root, r.lifted_type) for r in want.analysis.per_root)
+            assert [t for _, t in negated] == [
+                r.lifted_type for r in got.analysis.per_root]
+            for (root, _), r in zip(negated, got.analysis.per_root):
+                assert abs(r.root - root) <= 1e-12 * max(1.0, abs(root))
+
+
+def test_lines_of_curvature_at_a_huge_scale_read_case3_degenerate():
+    """b03 != 0 keeps B(0, 0) = 0.25 off zero, but b12 = 1e20 makes the
+    coefficient scale so large that B(0, 0) falls under CASE_TOL: the origin
+    reads Case 3, and lines of curvature are Degenerate, not a wrong class."""
+    jet = validate_jet({"a20": 0, "a30": 0, "b20": 0, "b30": 0.1, "b12": 1e20,
+                        "b03": 1})
+    document = {
+        "kind": "lc",
+        "top_class": "Degenerate",
+        "case": "Case3",
+        "invariants": {"b20": 0.0, "b30_minus_a20_b12": 0.1,
+                       "common_root_guard": 4e60, "b_origin": 0.25,
+                       "delta_origin": 0.0625},
+        "convention_note": SIGN_CONVENTION_NOTE,
+        "degenerate_reason": "unexpected case Case3",
+    }
+    cls = classify_edge_foliation(jet, FoliationKind.LINES_OF_CURVATURE)
+    assert cls.to_json() == json.dumps(document, indent=2)
 
 
 def test_classification_serializes():

@@ -59,7 +59,7 @@ def test_divide_v_roundtrip(p):
 
 def test_divide_v_rejects_constant_term():
     with pytest.raises(ValueError):
-        (Poly2.const(1) + Poly2.monomial(0, 1)).divide_v()
+        (Poly2.monomial(0, 0, 1) + Poly2.monomial(0, 1)).divide_v()
 
 
 def test_fraction_coefficients_stay_exact():
@@ -105,7 +105,7 @@ def test_compiled_matches_scalar_eval(p, pts):
 
 
 def test_compiled_set_evaluates_all_members():
-    ps = [Poly2.monomial(1, 0), Poly2.monomial(0, 1), Poly2.const(3.0)]
+    ps = [Poly2.monomial(1, 0), Poly2.monomial(0, 1), Poly2.monomial(0, 0, 3.0)]
     cset = CompiledPolySet(ps)
     vals = cset.values(np.array([2.0]), np.array([5.0]))
     assert vals.shape == (3, 1)

@@ -1,6 +1,7 @@
 """SVG rendering: well-formedness, counts, determinism, camera math."""
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,7 +13,8 @@ from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.geometry import surface_polynomials
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
-from edgefol.bde import CHART_P, CHART_Q, BdeField, cubic_analysis, lift
+from edgefol.bde import (CHART_P, CHART_Q, BdeField, CubicAnalysis, RootData,
+                         cubic_analysis, lift)
 from edgefol.render import (
     RenderStyle,
     curves_to_csv,
@@ -41,8 +43,8 @@ def three_saddles_portrait():
 
 @pytest.fixture(scope="module")
 def regular_portrait():
-    return trace_portrait(BdeField(Poly2.const(1.0), Poly2(),
-                                   Poly2.const(-1.0)),
+    return trace_portrait(BdeField(Poly2.monomial(0, 0, 1.0), Poly2(),
+                                   Poly2.monomial(0, 0, -1.0)),
                           TraceConfig(max_steps=1500, seeds_per_side=8))
 
 
@@ -84,8 +86,8 @@ def test_viewbox_spans_trace_box(three_saddles_portrait):
 
 def test_empty_portrait_rejected():
     from edgefol.bde import Case
-    empty = Portrait(curves=[], singular_points=(), discriminant_locus=[],
-                     box=0.5, case=Case.CASE1_REGULAR)
+    empty = Portrait(curves=[], discriminant_locus=[], box=0.5,
+                     case=Case.CASE1_REGULAR, analysis=None, warnings=0)
     with pytest.raises(EmptyPortrait):
         portrait_to_svg(empty)
 
@@ -168,10 +170,10 @@ def _fmt_reference(x):
     return "0" if x == 0 else f"{x:.6g}"
 
 
-def _polyline_reference(points_xy, *, cls, color, width, dashed=False):
+def _polyline_reference(points_xy, *, cls, color, width):
     pts = " ".join(f"{_fmt_reference(x)},{_fmt_reference(-y)}"
                    for x, y in render._thin(np.asarray(points_xy)))
-    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    dash = ' stroke-dasharray="6 4"' if cls == "separatrix" else ""
     return (f'<polyline class="{cls}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt_reference(width)}"{dash} points="{pts}" />')
 
@@ -212,14 +214,20 @@ def _edge_value_portrait():
     curves = [
         TracedCurve(samples=special, t=np.array([0.0, -0.0, 1e-300, -1e17, 7.0]),
                     chart="p", termination="box_exit",
-                    termination_backward="box_exit", is_separatrix=True),
+                    termination_backward="box_exit", is_separatrix=True,
+                    max_residual=0.0, seed_index=0, seed_sample=0),
         TracedCurve(samples=long, t=np.cumsum(rng.random(len(long))) - 3.0,
                     chart="q", termination="step_cap",
-                    termination_backward="box_exit"),
+                    termination_backward="box_exit", is_separatrix=False,
+                    max_residual=0.0, seed_index=1, seed_sample=0),
     ]
     locus = [np.array([[-0.0, 0.0], [0.0, -0.0], [1e-300, -1e17]]), long[:800, :2]]
-    return Portrait(curves=curves, singular_points=((0.5, "saddle"),),
-                    discriminant_locus=locus, box=0.5, case=None)
+    saddle = RootData(root=0.5, alpha=1.0, minus_phi_prime=-1.0,
+                      eigen_product=-1.0, lifted_type="saddle")
+    analysis = CubicAnalysis(chart=CHART_Q, phi=(), alpha=(), D=0.0,
+                             D_normalized=0.0, roots=(0.5,), per_root=(saddle,))
+    return Portrait(curves=curves, discriminant_locus=locus, box=0.5,
+                    case=None, analysis=analysis, warnings=0)
 
 
 def test_array_formatting_matches_per_value_reference(monkeypatch):
@@ -280,3 +288,27 @@ def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
     # most 1.3e-13, every length and termination kept
     assert hashlib.sha256(curves_to_csv(portrait).encode()).hexdigest() == (
         "1ae11d820af8be8b4dbecd2e6462f2c763ea4587e90a3a26b9318143ac82567a")
+
+
+def test_singular_ticks_point_along_their_chart_direction():
+    """A lifted zero's direction du:dv is (q, 1) in chart q and (1, p) in
+    chart p; the tick is read in the chart of the portrait's analysis."""
+    u, v = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)
+    portrait = trace_portrait(BdeField(v, u, 2 * v), config)
+    assert portrait.analysis.chart == CHART_P
+    assert portrait.singular_points == ((0.0, "saddle"),)
+    assert ('<line class="singular-tick" x1="-0.00703125" y1="0" '
+            'x2="0.00703125" y2="0" ') in portrait_to_svg(portrait)
+
+    # the three chart-p saddles of the continuation pin's field
+    portrait = trace_portrait(BdeField(-u - v + u * v, 2 * u - v, v + u * u),
+                              config)
+    assert portrait.analysis.chart == CHART_P
+    ticks = ET.fromstring(portrait_to_svg(portrait)).findall(f"{NS}line")
+    assert len(ticks) == len(portrait.singular_points) == 3
+    for (p, _), tick in zip(portrait.singular_points, ticks):
+        x1, y1, x2, y2 = (float(tick.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        du, dv = x2 - x1, y1 - y2          # the SVG's y axis points down
+        assert du > 0.0
+        assert abs(dv - p * du) <= 1e-5 * (1.0 + abs(p)) * math.hypot(du, dv)

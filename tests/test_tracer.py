@@ -38,7 +38,7 @@ from edgefol.tracer import (
 
 U = Poly2.monomial(1, 0)
 V = Poly2.monomial(0, 1)
-ONE = Poly2.const(1.0)
+ONE = Poly2.monomial(0, 0, 1.0)
 
 THREE_SADDLES_JET = EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0)
 ONE_SADDLE_JET = EdgeJet(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
@@ -54,7 +54,7 @@ def _trace_seed(bde, chart, seed, step, max_steps, roots=()):
 
 
 def test_constant_bde_traces_diagonal_line():
-    field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
+    field = BdeField(ONE, Poly2(), Poly2.monomial(0, 0, -1.0))
     (curve,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 4000)
     assert np.max(np.abs(curve.samples[:, 0] - curve.samples[:, 1])) < 1e-12
     assert np.max(np.abs(curve.samples[:, 2] - 1.0)) < 1e-12
@@ -76,7 +76,7 @@ def test_on_surface_residual_bound():
 
 
 def test_seed_off_surface_rejected():
-    field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
+    field = BdeField(ONE, Poly2(), Poly2.monomial(0, 0, -1.0))
     curves, warnings = _trace_seed(field, CHART_P, (0.0, 0.0, 0.5), 1e-3, 100)
     assert warnings == 1
     assert curves == []
@@ -160,7 +160,7 @@ def test_overflowing_rows_stop_non_finite_and_are_not_continued():
 
 def test_step_halving_convergence():
     field = BdeField(ONE, Poly2.monomial(1, 0, 0.3),
-                     Poly2.const(-1.0) + Poly2.monomial(0, 1, 0.4))
+                     Poly2.monomial(0, 0, -1.0) + Poly2.monomial(0, 1, 0.4))
     (coarse,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 1e-3, 8000)
     (fine,), _ = _trace_seed(field, CHART_P, (0.0, 0.0, 1.0), 5e-4, 16000)
     assert np.max(np.abs(coarse.samples[-1] - fine.samples[-1])) <= 1e-6
@@ -168,7 +168,7 @@ def test_step_halving_convergence():
 
 
 def test_direction_roots_cover_both_branches():
-    field = BdeField(ONE, Poly2(), Poly2.const(-1.0))
+    field = BdeField(ONE, Poly2(), Poly2.monomial(0, 0, -1.0))
     seeds = direction_roots(field, 0.1, 0.2)
     assert len(seeds) == 2
     values = sorted(v for _, v in seeds)
@@ -216,11 +216,46 @@ def test_portrait_cusp_family_structure():
 
 
 def test_portrait_regular_pair_empty_locus():
-    portrait = trace_portrait(BdeField(ONE, Poly2(), Poly2.const(-1.0)),
+    portrait = trace_portrait(BdeField(ONE, Poly2(), Poly2.monomial(0, 0, -1.0)),
                               TraceConfig(max_steps=2500, seeds_per_side=8))
     assert portrait.case is Case.CASE1_REGULAR
     assert portrait.discriminant_locus == []
     assert portrait.curves
+
+
+def _matches(curve, other, image):
+    """`other` is `curve` mirrored (`image` its mirrored samples), forward or
+    reversed in time: the same chart, separatrix flag, length and pair of
+    terminations, and samples within 1e-12."""
+    return (other.chart == curve.chart
+            and other.is_separatrix == curve.is_separatrix
+            and len(other) == len(curve)
+            and sorted((other.termination, other.termination_backward))
+            == sorted((curve.termination, curve.termination_backward))
+            and any(np.allclose(s, image, rtol=0.0, atol=1e-12)
+                    for s in (other.samples, other.samples[::-1])))
+
+
+def test_mirrored_jet_traces_the_mirror_image():
+    """The jet reflected by u -> -u (a30, b30 and b12 negated) has the
+    mirrored portrait: every curve is a curve of the other portrait under
+    (u, v, p) -> (-u, v, -p), in either chart."""
+    config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)
+    jets = (THREE_SADDLES_JET, sample_generic_jet(0),
+            sample_generic_jet(0, "edge_degenerate"))
+    for jet in jets:
+        mirror = EdgeJet(jet.a20, -jet.a30, jet.b20, -jet.b30, -jet.b12, jet.b03)
+        for kind in FoliationKind:
+            want, got = (trace_portrait(build_geometric_bde(j, kind), config)
+                         for j in (jet, mirror))
+            assert len(got.curves) == len(want.curves)
+            unmatched = list(got.curves)
+            for curve in want.curves:
+                image = curve.samples * (-1.0, 1.0, -1.0)
+                index = next((i for i, other in enumerate(unmatched)
+                              if _matches(curve, other, image)), None)
+                assert index is not None, (jet, kind)
+                del unmatched[index]
 
 
 DEGENERATE_DISCRIMINANT_JET = EdgeJet(
@@ -315,7 +350,7 @@ def _locus_reference(delta, box, grid=512):
 def test_discriminant_locus_matches_loop_reference_bitwise(name):
     delta = {
         "saddle": U * V,
-        "circle": U * U + V * V + Poly2.const(-0.09),
+        "circle": U * U + V * V + Poly2.monomial(0, 0, -0.09),
         "empty": U * U + V * V + ONE,
     }[name]
     box = 0.5
@@ -438,8 +473,8 @@ def test_seed_sample_is_the_backward_halfs():
     """A half rejected as wild at its first step logs its seed re-projected
     onto M; the joined curve's seed sample is the backward half's entry,
     here the seed itself, never the forward half's re-projection."""
-    field = BdeField(Poly2(), Poly2.const(0.5),
-                     Poly2.const(-1000.0) + Poly2.monomial(1, 0, -10.0))
+    field = BdeField(Poly2(), Poly2.monomial(0, 0, 0.5),
+                     Poly2.monomial(0, 0, -1000.0) + Poly2.monomial(1, 0, -10.0))
     seed = (-4e-6, 0.0, 999.999961)
     (curve, *_), _ = _trace_worklist(
         field, [(CHART_P, seed, False)],
