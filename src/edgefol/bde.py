@@ -27,12 +27,12 @@ compiled once on first use.
 Over an all-coefficients-vanish point the fiber {(0,0)} x R lies in M and the
 zeros of xi on it are the roots of a cubic phi; the linearization at a zero
 (`LiftedEquation.jacobian`, exact and lower triangular, as the fiber is
-invariant) has eigenvalues alpha(p_i) and -phi'(p_i).  `analyse_cubic`
-computes them, for the cubic read off the BDE (`cubic_analysis`) and for
-the closed forms alike.  The sign of their product decides saddle
-(negative) versus node (positive); this is the convention used by the
-topological classifier and confirmed by the sector-count oracle in the
-tracer module.
+invariant) has eigenvalues alpha(p_i) and -phi'(p_i).  `eigenvalues`
+evaluates them, for the Jacobian and for `analyse_cubic`, which reads the
+cubic off the BDE (`cubic_analysis`) and the closed forms alike.  The sign
+of their product decides saddle (negative) versus node (positive); this is
+the convention used by the topological classifier and confirmed by the
+sector-count oracle in the tracer module.
 """
 
 from __future__ import annotations
@@ -117,9 +117,12 @@ class BdeField:
         return _ChartCore(self)
 
 
-def discriminant_poly(bde: BdeField) -> Poly2:
-    """delta = B^2 - A*C, exact."""
-    return bde.B * bde.B - bde.A * bde.C
+def discriminant_poly(bde: BdeField, cap) -> Poly2:
+    """delta = B^2 - A*C, exact through total degree `cap` (math.inf: all of
+    it), from A, B and C truncated at `cap` with each product capped there:
+    `discriminant_poly(bde, math.inf).truncated(cap)`, item for item."""
+    A, B, C = (f.truncated(cap) for f in (bde.A, bde.B, bde.C))
+    return B.product(B, cap) - A.product(C, cap)
 
 
 def unique_direction_at_origin(bde: BdeField):
@@ -130,26 +133,20 @@ def unique_direction_at_origin(bde: BdeField):
     return d1 if math.hypot(*d1) >= math.hypot(*d2) else d2
 
 
-def discriminant_2jet(bde: BdeField) -> Poly2:
-    """The 2-jet of delta, from the 2-jets of A, B and C with each product
-    capped at degree 2: `discriminant_poly(bde).truncated(2)`, item for item."""
-    A, B, C = (f.truncated(2) for f in (bde.A, bde.B, bde.C))
-    return B.product(B, 2) - A.product(C, 2)
-
-
 def delta_and_case(bde: BdeField):
     """2-jet of delta = B^2 - A*C (all that classify reads) and origin case,
     split by `origin_case` at the BDE's coefficient scale."""
     scale = bde.coefficient_scale()
-    delta = discriminant_2jet(bde)
+    delta = discriminant_poly(bde, 2)
     return delta, origin_case(bde, delta, scale)
 
 
 def origin_case(bde: BdeField, delta: Poly2, scale: float) -> Case:
-    """Origin case of a BDE from its values at the origin, the 2-jet `delta`
-    of its discriminant and its coefficient scale: the one case split.
-    `delta_and_case` reads it at the BDE's own scale, classification at both
-    ends of a scale bracket (`foliations._origin_case`).
+    """Origin case of a BDE from its values at the origin, its discriminant
+    `delta` (read to degree 1: the 2-jet will do) and its coefficient scale:
+    the one case split.  `delta_and_case` and `tracer.trace_portrait` read
+    it at the BDE's own scale, classification at both ends of a scale
+    bracket (`foliations._origin_case`).
 
     Zero tests are scale-free: coefficients are normalized by `scale`, the
     largest coefficient magnitude, before comparing against CASE_TOL.  Each
@@ -331,16 +328,15 @@ class LiftedEquation:
 
     def jacobian(self, root: float) -> np.ndarray:
         """The exact linearization of the field on M at (0, 0, root), over
-        (w, chart variable): alpha and -phi' (as `analyse_cubic` evaluates
-        them) on the diagonal, 0 above it (the fiber lies in M) and
-        -(F_ww + 2 root F_wx + root^2 F_xx) below (M's x-slope is root)."""
-        (a2, a1, a0), (c3, c2, c1, _) = (self.alpha_coefficients(),
-                                         self.phi_coefficients())
+        (w, chart variable): `eigenvalues` alpha and -phi' on the diagonal, 0
+        above it (the fiber lies in M) and -(F_ww + 2 root F_wx + root^2
+        F_xx) below (M's x-slope is root)."""
+        alpha, minus_dphi = eigenvalues(self.phi_coefficients(),
+                                        self.alpha_coefficients(), root)
         a, b, c = (polyval(terms, root)
                    for terms in self._terms((0, 2), (1, 1), (2, 0)))
-        return np.array([[a2 * root * root + a1 * root + a0, 0.0],
-                         [-2.0 * polyval((a, 2 * b, c), root),
-                          -(3.0 * c3 * root * root + 2.0 * c2 * root + c1)]])
+        return np.array([[alpha, 0.0],
+                         [-2.0 * polyval((a, 2 * b, c), root), minus_dphi]])
 
 
 def lift(bde: BdeField, chart: str) -> LiftedEquation:
@@ -447,6 +443,13 @@ class CubicAnalysis:
             1.0 / r for r in self.roots if r != 0.0)
 
 
+def eigenvalues(phi, alpha, r):
+    """(alpha(r), -phi'(r)), the eigenvalues at the lifted zero (0, 0, r), of
+    the cubic phi and eigenvalue quadratic alpha (highest degree first)."""
+    return (alpha[0] * r * r + alpha[1] * r + alpha[2],
+            -(3.0 * phi[0] * r * r + 2.0 * phi[1] * r + phi[2]))
+
+
 def analyse_cubic(phi, alpha, chart: str) -> CubicAnalysis:
     """Roots of the singularity cubic phi and the eigenvalues alpha(p_i) and
     -phi'(p_i) at each, from float coefficients (highest degree first)."""
@@ -469,16 +472,14 @@ def analyse_cubic(phi, alpha, chart: str) -> CubicAnalysis:
         )
 
     alpha_scale = max(abs(x) for x in alpha) if any(alpha) else 1.0
-    dphi = (3.0 * phi[0], 2.0 * phi[1], phi[2])
     per_root = []
     for r in roots:
-        a_val = alpha[0] * r * r + alpha[1] * r + alpha[2]
+        a_val, mpp = eigenvalues(phi, alpha, r)
         if abs(a_val) / alpha_scale < COMMON_ROOT_TOL:
             raise CommonRoot(
                 f"alpha({r:.6g}) = {a_val:.3e} vanishes; cubic and eigenvalue "
                 "quadratic share a root"
             )
-        mpp = -(dphi[0] * r * r + dphi[1] * r + dphi[2])
         prod = a_val * mpp
         per_root.append(RootData(
             root=r, alpha=a_val, minus_phi_prime=mpp, eigen_product=prod,

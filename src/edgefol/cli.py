@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError, EdgefolError, EmptyPortrait
 from .foliations import (
@@ -53,17 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="orthographic camera direction x,y,z")
     p_render.add_argument("--up", default=None, help="camera up-vector x,y,z")
 
-    p_verify = sub.add_parser("verify", help="run the oracle suites")
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--out", default=None, help="also write report here")
-
-    p_survey = sub.add_parser("survey", help="class frequencies on random jets")
-    p_survey.add_argument("--trials", type=int, default=200)
-    p_survey.add_argument("--seed", type=int, default=0)
-    p_survey.add_argument("--workers", type=int, default=1)
-    p_survey.add_argument("--out", default=None, help="also write report here")
+    for name, text in (("verify", "run the oracle suites"),
+                       ("survey", "class frequencies on random jets")):
+        p_report = sub.add_parser(name, help=text)
+        p_report.add_argument("--trials", type=int, default=200)
+        p_report.add_argument("--seed", type=int, default=0)
+        p_report.add_argument("--workers", type=int, default=1)
+        p_report.add_argument("--out", default=None, help="also write report here")
     return parser
 
 
@@ -71,14 +67,13 @@ def _add_trace_args(sub):
     sub.add_argument("--jet", required=True, help="jet JSON file")
     sub.add_argument("--foliation", required=True,
                      help="lc | asymptotic | characteristic")
-    sub.add_argument("--box", type=float, default=0.5)
-    sub.add_argument("--step", type=float, default=1e-3)
-    sub.add_argument("--seeds-per-side", type=int, default=24)
-    sub.add_argument("--max-steps", type=int, default=6000)
+    for field in fields(TraceConfig):  # --box, --step, --seeds-per-side, --max-steps
+        sub.add_argument("--" + field.name.replace("_", "-"),
+                         type=type(field.default), default=field.default)
 
 
 def _validate_numeric(args):
-    for name in ("box", "step", "seeds_per_side", "max_steps", "trials",
+    for name in (*(field.name for field in fields(TraceConfig)), "trials",
                  "workers"):
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
@@ -97,12 +92,11 @@ def _validate_numeric(args):
 def _trace_setup(args):
     jet = load_jet(args.jet)
     kind = parse_kind(args.foliation)
-    config = TraceConfig(box=args.box, step=args.step,
-                         seeds_per_side=args.seeds_per_side,
-                         max_steps=args.max_steps)
+    config = TraceConfig(**{field.name: getattr(args, field.name)
+                            for field in fields(TraceConfig)})
     bde = build_geometric_bde(jet, kind)
     classification = classify_edge_foliation(jet, kind)
-    return jet, kind, config, bde, classification
+    return jet, config, bde, classification
 
 
 def _nonempty_portrait(bde, config):
@@ -131,7 +125,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    jet, _kind, config, bde, classification = _trace_setup(args)
+    jet, config, bde, classification = _trace_setup(args)
     portrait = _nonempty_portrait(bde, config)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(curves_to_csv(portrait, jet))
@@ -142,7 +136,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    jet, _kind, config, bde, classification = _trace_setup(args)
+    jet, config, bde, classification = _trace_setup(args)
     style = RenderStyle()
     if args.camera:
         style = replace(style, camera_direction=_parse_vec3(args.camera, "--camera"))
@@ -198,21 +192,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_numeric(args)
-        status = _COMMANDS[args.command](args)
+        try:
+            _validate_numeric(args)
+            status = _COMMANDS[args.command](args)
+        except BrokenPipeError:
+            raise
+        except (EdgefolError, OSError, ValueError, ArithmeticError) as exc:
+            _emit_error(args, exc)
+            status = 2 if isinstance(exc, (ConfigError, OSError, ValueError)) else 1
         sys.stdout.flush()      # a closed stdout raises here, not at exit
         return status
     except BrokenPipeError:
-        # the reader closed stdout: it takes no message, and the final flush
-        # goes to os.devnull instead of raising again
+        # the reader closed stdout, an error report's too: it takes no
+        # message, and the final flush goes to os.devnull, not raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except ConfigError as exc:
-        _emit_error(args, exc)
-        return 2
-    except (EdgefolError, OSError, ValueError, ArithmeticError) as exc:
-        _emit_error(args, exc)
-        return 2 if isinstance(exc, (OSError, ValueError)) else 1
     except KeyboardInterrupt:  # pragma: no cover
         return 130
 

@@ -38,7 +38,7 @@ from .bde import (
     analyse_cubic,
     classify_type2,
     delta_and_case,
-    discriminant_2jet,
+    discriminant_poly,
     hessian_det_origin,
     origin_case,
 )
@@ -149,7 +149,7 @@ def _origin_case(jet: EdgeJet, kind: FoliationKind):
     if kind is not FoliationKind.ASYMPTOTIC:
         fp = form_polynomials(jet)
         jet2 = _geometric_bde(jet, fp, kind, 2)
-        delta = discriminant_2jet(jet2)
+        delta = discriminant_poly(jet2, 2)
         try:
             ends = {origin_case(jet2, delta, scale)
                     for scale in (jet2.coefficient_scale(), _scale_bound(fp, kind))}

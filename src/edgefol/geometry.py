@@ -18,25 +18,24 @@ from .errors import HigherTermsPresent
 from .jets import EdgeJet
 from .poly import Poly2
 
-# Entries kept by each memo keyed by a jet: this module's two and
+# Entries kept by each memo keyed by a jet: `form_polynomials` and
 # `foliations.build_geometric_bde`.  Reuse happens inside one request, with no
 # other jet in between: the three foliations of a jet share its form
-# polynomials, a portrait's BDE serves its trace (and the classification of
-# an asymptotic foliation), and one surface map serves the forms, the CSV and
-# the surface view.  One entry keeps every such hit.  The only reuse it gives
-# up is across requests: `verify.documented_discrepancies` rebuilds the forms
-# of its two constant jets on every run, 0.48 ms against 0.23 ms, of a
-# 55-75 ms one-trial `run_verify`.  An entry held longer only adds exact
-# polynomials for the collector to promote and walk: over 36,000 classify
-# requests (2-core Xeon, Python 3.11.7) 8 entries took 23 generation-2
-# collections of 10-13 ms, one entry 5.
+# polynomials, and a portrait's BDE serves its trace (and the classification
+# of an asymptotic foliation).  One entry keeps every such hit.  The only
+# reuse it gives up is across requests: `verify.documented_discrepancies`
+# rebuilds the forms of its two constant jets on every run, 0.48 ms against
+# 0.23 ms, of a 55-75 ms one-trial `run_verify`.  An entry held longer only
+# adds exact polynomials for the collector to promote and walk: over 36,000
+# classify requests (2-core Xeon, Python 3.11.7) 8 entries took 23
+# generation-2 collections of 10-13 ms, one entry 5.
 REQUEST_JETS = 1
 
 
-@lru_cache(maxsize=REQUEST_JETS)
 def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:
     """The three coordinate polynomials of the normal-form parametrization,
-    in the jet's coefficient type; memoized for the last jet (REQUEST_JETS)."""
+    in the jet's coefficient type.  Not memoized: a portrait request's three
+    calls (forms, CSV, surface view) take 0.13 ms (2-core Xeon) of its 50."""
     h = jet.higher
     f1 = Poly2.monomial(1, 0)
     f2 = (

@@ -232,7 +232,7 @@ def _stratum_values(a20, b30, b12, b03):
     )
 
 
-def sample_generic_jet(rng_seed: int, scenario: str = "generic") -> EdgeJet:
+def sample_generic_jet(rng_seed: int, scenario: str) -> EdgeJet:
     """Draw a random jet, rejecting degenerate configurations.
 
     Coefficients are uniform on [-2, 2] (b20 on [0, 2]).  Scenario

@@ -114,15 +114,16 @@ def _document(style: RenderStyle, viewbox, comment: str, body) -> str:
     return "\n".join([header, f"<!-- {comment} -->", *body, "</svg>"]) + "\n"
 
 
-def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
-                    top_class: str | None = None) -> str:
+def portrait_to_svg(portrait: Portrait, style: RenderStyle,
+                    top_class: str | None) -> str:
     """Render the domain phase portrait to an SVG 1.1 document.
 
     Integral curves are solid polylines, separatrices dashed, the
     discriminant locus gets its own color, and each lifted singular point is
     marked at the origin with a tick along its direction du:dv, read in the
     chart of the portrait's analysis.  The configuration tag is embedded as
-    an XML comment so golden-file tests can assert on it.
+    an XML comment so golden-file tests can assert on it; a `top_class`
+    of None tags the document "unclassified".
     """
     if not portrait.curves:
         raise EmptyPortrait("portrait contains no curves")
@@ -159,7 +160,7 @@ def portrait_to_svg(portrait: Portrait, style: RenderStyle = RenderStyle(),
                      f"top_class: {tag} | case: {case}", parts)
 
 
-def surface_view_to_svg(curves3d: list, style: RenderStyle = RenderStyle()) -> str:
+def surface_view_to_svg(curves3d: list, style: RenderStyle) -> str:
     """Orthographic projection of 3-space polylines to an SVG document.
 
     Polylines are depth-sorted painter's style by mean depth along the
@@ -191,8 +192,9 @@ def surface_view_to_svg(curves3d: list, style: RenderStyle = RenderStyle()) -> s
     return _document(style, (x0, y0, side, side), "surface view", body)
 
 
-def curves_to_csv(portrait: Portrait, jet: EdgeJet | None = None) -> str:
-    """Flat CSV of every traced curve: t, u, v, p, x, y, z, curve_id, separatrix."""
+def curves_to_csv(portrait: Portrait, jet: EdgeJet | None) -> str:
+    """Flat CSV of every traced curve: t, u, v, p, x, y, z, curve_id,
+    separatrix; x, y, z map (u, v) through `jet`'s surface (NaN if None)."""
     image = None
     if jet is not None:
         image = CompiledPolySet(list(surface_polynomials(jet)))

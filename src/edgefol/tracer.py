@@ -39,9 +39,9 @@ from .bde import (
     NODE,
     SADDLE,
     cubic_analysis,
-    delta_and_case,
     discriminant_poly,
     lift,
+    origin_case,
     solve_fiber_coordinate,
     solve_quadratic,
     _ChartCore,
@@ -71,10 +71,12 @@ TERM_EXITED = "exited"
 
 @dataclass(frozen=True)
 class TraceConfig:
+    """Portrait settings, and the CLI's trace flags in this order."""
+
     box: float = 0.5
     step: float = 1e-3
-    max_steps: int = 6000
     seeds_per_side: int = 24
+    max_steps: int = 6000
     chart_bound = CHART_BOUND    # not a field: every batch reads CHART_BOUND
 
 
@@ -134,6 +136,7 @@ class _BatchResult:
     final: np.ndarray            # (2n, 3) internal coordinates
     steps: np.ndarray
     samples: np.ndarray | None   # each seed's curve in turn, internal coordinates
+    bounds: np.ndarray | None    # seed i's curve is samples[bounds[i]:bounds[i + 1]]
 
 
 def _newton_p(core: _ChartCore, S, q, ftol) -> bool:
@@ -293,19 +296,19 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
     S[active] = cur
     steps_used[active] = max_steps
     status[active] = TERM_CAP
-    samples = None
+    samples = bounds = None
     if log is not None:
         rows, at, logged, wild = (np.concatenate(col) for col in zip(*log))
-        back, sizes = steps_used[:n], steps_used[:n] + 1 + steps_used[n:]
-        seed_at = np.cumsum(sizes) - sizes + back
-        where = seed_at[rows % n] + np.where(rows < n, -at, at)
+        # a curve holds its backward steps, the seed and its forward steps
+        bounds = np.concatenate([[0], np.cumsum(steps_used[:n] + 1 + steps_used[n:])])
+        where = (bounds[:-1] + steps_used[:n])[rows % n] + np.where(rows < n, -at, at)
         # the seed sample is the backward row's (re-projected if it was wild
         # at once); a wild row's re-projected sample replaces the one before it
         keep = (rows < n) | (at > 0)
-        samples = np.empty((sizes.sum(), 3))
+        samples = np.empty((bounds[-1], 3))
         for mask in (keep & ~wild, keep & wild):
             samples[where[mask]] = logged[mask]
-    return _BatchResult(status=status, final=S, steps=steps_used, samples=samples)
+    return _BatchResult(status, S, steps_used, samples, bounds)
 
 
 def _clip_box_exits(core: _ChartCore, a, b, q, box):
@@ -412,22 +415,19 @@ def _trace_worklist(bde: BdeField, worklist, config: TraceConfig,
         run = _integrate_batch(core, states[ok], q[ok], step=config.step,
                                max_steps=config.max_steps, box=config.box,
                                singular=singular_by_chart)
-        back, sizes = run.steps[:n], run.steps[:n] + 1 + run.steps[n:]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        q_joined = np.repeat(q[ok], sizes)
+        q_joined = np.repeat(q[ok], np.diff(run.bounds))
         samples = _swap_uv(run.samples, q_joined)
         chord = np.sqrt(np.sum(np.diff(samples, axis=0) ** 2, axis=1))
         peak = np.maximum.reduceat(np.abs(core.residual(run.samples, q_joined)),
-                                   starts)
+                                   run.bounds[:-1])
         for row, (index, (chart, _, is_sep)) in enumerate(entries):
-            lo, hi = starts[row], ends[row]
+            lo, hi = run.bounds[row], run.bounds[row + 1]
             curves.append(TracedCurve(     # t: chordal arclength, per curve
                 samples=samples[lo:hi],
                 t=np.concatenate([[0.0], np.cumsum(chord[lo:hi - 1])]),
                 chart=chart, termination=run.status[n + row],
                 termination_backward=run.status[row], is_separatrix=is_sep,
-                max_residual=float(peak[row]), seed_sample=int(back[row]),
+                max_residual=float(peak[row]), seed_sample=int(run.steps[row]),
                 seed_index=index if seeds_round else -1))
 
         # the exceptional fiber projects to a point: nothing to continue there
@@ -458,9 +458,9 @@ def trace_portrait(bde: BdeField, config: TraceConfig) -> Portrait:
     """
     warnings = 0
     analysis = None
-    delta, case = discriminant_poly(bde), None
+    delta, case = discriminant_poly(bde, math.inf), None
     try:
-        case = delta_and_case(bde)[1]
+        case = origin_case(bde, delta, bde.coefficient_scale())
     except DegenerateDiscriminant:
         warnings += 1
     if case is Case.CASE3:

@@ -294,7 +294,7 @@ def _suite_trials(name: str, trials: int) -> int:
     return trials if cap is None else min(trials, cap)
 
 
-def run_verify(trials: int, seed: int, workers: int = 1) -> VerifyReport:
+def run_verify(trials: int, seed: int, workers: int) -> VerifyReport:
     """Run every oracle suite and collect a deterministic report."""
     suites = []
     for name, fn, (arg, _) in _SUITES:

@@ -252,7 +252,7 @@ def test_criterion_9_determinism():
 def test_criterion_10_documented_discrepancies():
     checks = documented_discrepancies()
     ok = len(checks) >= 3 and all(passed for _, passed in checks)
-    in_report = format_verify_report(run_verify(2, 1))
+    in_report = format_verify_report(run_verify(2, 1, 1))
     recorded = "documented reference discrepancies" in in_report
     _report(10, ok and recorded,
             "exact-arithmetic reproduction of the three reference "

@@ -264,8 +264,19 @@ def test_delta_and_case_returns_the_discriminant_2jet():
     for jet in jets:
         for kind in FoliationKind:
             field = build_geometric_bde(jet, kind)
-            delta = delta_and_case(field)[0]
-            assert delta == discriminant_poly(field).truncated(2)
+            full = discriminant_poly(field, math.inf)
+            try:
+                delta, case = delta_and_case(field)
+            except DegenerateDiscriminant:
+                delta, case = discriminant_poly(field, 2), DegenerateDiscriminant
+            assert delta == full.truncated(2)
+            # trace_portrait's route to the case: the full discriminant
+            try:
+                portrait_case = bde_mod.origin_case(field, full,
+                                                    field.coefficient_scale())
+            except DegenerateDiscriminant:
+                portrait_case = DegenerateDiscriminant
+            assert portrait_case is case, (jet, kind)
 
 
 def test_origin_case_moves_one_way_as_the_scale_grows():
@@ -283,7 +294,7 @@ def test_origin_case_moves_one_way_as_the_scale_grows():
         for scenario in ("generic", "edge_degenerate"):
             for kind in FoliationKind:
                 field = build_geometric_bde(sample_generic_jet(seed, scenario), kind)
-                delta = bde_mod.discriminant_2jet(field)
+                delta = bde_mod.discriminant_poly(field, 2)
                 outcomes = []
                 for scale in scales:
                     try:
@@ -549,7 +560,7 @@ def test_saddle_count_always_matches_negative_products():
         for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
             eq = lift(build_geometric_bde(jet, kind), CHART_Q)
             analysis = cubic_analysis(eq)
-            delta = discriminant_poly(eq.bde)
+            delta = discriminant_poly(eq.bde, math.inf)
             top = classify_type2(analysis, hessian_det_origin(delta))
             negatives = sum(1 for d in analysis.per_root if d.eigen_product < 0)
             saddle_count = {

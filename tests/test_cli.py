@@ -323,11 +323,18 @@ def test_unknown_foliation_rejected(jet_file, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
-def test_closed_stdout_exits_2_without_a_message(jet_file, flags):
+@pytest.mark.parametrize("flags, record, command", [
+    (["--json"], SADDLE_JET, ["classify"]),
+    ([], SADDLE_JET, ["classify"]),
+    # the command fails, and its JSON error report meets the closed stdout
+    (["--json"], SADDLE_JET, ["trace", "--box", "nan", "--out", "o.csv"]),
+    (["--json"], dict(SADDLE_JET, b30="0.1"), ["classify"]),
+], ids=["json", "text", "json-trace-box-nan", "json-classify-quoted"])
+def test_closed_stdout_exits_2_without_a_message(jet_file, tmp_path, flags,
+                                                 record, command):
     """A reader that has closed stdout (`edgefol classify ... | head -n 0`)
     gets no traceback and no error message: the command exits 2, the I/O
-    status."""
+    status, also when the output it meets closed is an error report."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -335,9 +342,10 @@ def test_closed_stdout_exits_2_without_a_message(jet_file, flags):
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "edgefol.cli", *flags, "classify",
-             "--jet", jet_file(SADDLE_JET), "--foliation", "asymptotic"],
-            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+            [sys.executable, "-m", "edgefol.cli", *flags, *command,
+             "--jet", jet_file(record), "--foliation", "asymptotic"],
+            stdout=write, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            timeout=120)
     finally:
         os.close(write)
     assert proc.stderr == b""

@@ -18,7 +18,6 @@ from edgefol.bde import (
     TopClass,
     cubic_analysis,
     delta_and_case,
-    discriminant_2jet,
     discriminant_poly,
     hessian_det_origin,
     lift,
@@ -192,7 +191,7 @@ def test_common_root_identity_and_resultant():
 
 def test_fold_case_for_nonzero_limiting_normal_curvature():
     for seed in range(60):
-        base = sample_generic_jet(seed)
+        base = sample_generic_jet(seed, "generic")
         if base.b20 < 0.1:
             continue
         for kind in KINDS:
@@ -206,13 +205,14 @@ def test_fold_case_for_nonzero_limiting_normal_curvature():
 def test_asymptotic_hessian_negative_when_morse():
     for seed in range(60):
         jet = sample_generic_jet(seed, "edge_degenerate")
-        delta = discriminant_poly(build_geometric_bde(jet, FoliationKind.ASYMPTOTIC))
+        delta = discriminant_poly(build_geometric_bde(jet, FoliationKind.ASYMPTOTIC),
+                                  math.inf)
         assert hessian_det_origin(delta) < 0
 
 
 def test_classify_lc_always_regular_pair():
     for seed in range(60):
-        jet = sample_generic_jet(seed)
+        jet = sample_generic_jet(seed, "generic")
         cls = classify_edge_foliation(jet, FoliationKind.LINES_OF_CURVATURE)
         assert cls.top_class is TopClass.REGULAR_PAIR
         assert cls.invariants["b_origin"] != 0.0
@@ -477,8 +477,8 @@ def test_two_jet_bde_is_the_full_bde_truncated():
             for part, whole in zip((jet2.A, jet2.B, jet2.C),
                                    (full.A, full.B, full.C)):
                 assert _items(part) == _items(whole.truncated(2)), (jet, kind)
-            assert _items(discriminant_2jet(jet2)) \
-                == _items(discriminant_poly(full).truncated(2))
+            assert _items(discriminant_poly(jet2, 2)) \
+                == _items(discriminant_poly(full, math.inf).truncated(2))
             scale = full.coefficient_scale()
             assert jet2.coefficient_scale() <= scale <= foliations._scale_bound(fp, kind)
 
@@ -549,7 +549,7 @@ def test_two_jet_documents_equal_full_bde_documents(monkeypatch, full_builds):
     assert fallbacks == 73
 
 
-MEMOS = (build_geometric_bde, form_polynomials, surface_polynomials)
+MEMOS = (build_geometric_bde, form_polynomials)
 
 
 def _clear_memos():
@@ -567,13 +567,15 @@ def _memo_polys(name, jet):
     return [f for bde in bdes for f in (bde.A, bde.B, bde.C)]
 
 
-@pytest.mark.parametrize("name", [memo.__name__ for memo in MEMOS])
+@pytest.mark.parametrize("name", [memo.__name__ for memo in MEMOS]
+                         + ["surface_polynomials"])
 @pytest.mark.parametrize("exact_first", [True, False],
                          ids=["exact-first", "float-first"])
 def test_memos_keep_each_jet_in_its_coefficient_type(name, exact_first):
     """A Fraction jet gets Fraction polynomials and an equal float jet float
-    ones, whichever of the two was memoized first (the structural
-    coefficients, such as f1 = u, are ints in both)."""
+    ones, whichever of the two was memoized (or, for the unmemoized surface
+    map, built) first (the structural coefficients, such as f1 = u, are ints
+    in both)."""
     exact = EdgeJet(Fraction(0), Fraction(0), Fraction(0), Fraction(1, 8),
                     Fraction(-1), Fraction(1))
     floats = EdgeJet(0.0, 0.0, 0.0, 0.125, -1.0, 1.0)
@@ -620,9 +622,8 @@ def test_memo_reuse_inside_one_request():
                                                max_steps=120))
     curves_to_csv(portrait, jet)
     project_to_surface(jet, portrait)
-    builds, surface = build_geometric_bde.cache_info(), surface_polynomials.cache_info()
+    builds = build_geometric_bde.cache_info()
     assert (builds.misses, builds.hits) == (1, 1)
-    assert (surface.misses, surface.hits) == (1, 2)
 
 
 def test_hypothesis_guard_example():

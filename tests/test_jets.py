@@ -158,17 +158,17 @@ def test_load_jet_from_path(tmp_path):
 
 
 def test_sampler_deterministic():
-    a = sample_generic_jet(42)
-    b = sample_generic_jet(42)
+    a = sample_generic_jet(42, "generic")
+    b = sample_generic_jet(42, "generic")
     assert a == b
     assert sample_generic_jet(42, "edge_degenerate") == \
         sample_generic_jet(42, "edge_degenerate")
-    assert sample_generic_jet(43) != a
+    assert sample_generic_jet(43, "generic") != a
 
 
 def test_sampler_generic_postconditions():
     for seed in range(50):
-        jet = sample_generic_jet(seed)
+        jet = sample_generic_jet(seed, "generic")
         assert abs(jet.b03) >= 0.1
         assert 0.0 <= jet.b20 <= 2.0
         for name in ("a20", "a30", "b30", "b12", "b03"):

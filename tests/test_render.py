@@ -32,6 +32,7 @@ from edgefol.tracer import (
 
 NS = "{http://www.w3.org/2000/svg}"
 THREE_SADDLES_JET = EdgeJet(0.0, 0.0, 0.0, 0.1, -1.0, 1.0)
+STYLE = RenderStyle()     # the default camera
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ def regular_portrait():
 
 
 def test_three_saddles_svg_counts(three_saddles_portrait):
-    svg = portrait_to_svg(three_saddles_portrait, top_class="ThreeSaddles")
+    svg = portrait_to_svg(three_saddles_portrait, STYLE, top_class="ThreeSaddles")
     root = ET.fromstring(svg)          # well-formed XML
     polylines = root.findall(f"{NS}polyline")
     dashed = [p for p in polylines if p.get("stroke-dasharray")]
@@ -63,7 +64,7 @@ def test_three_saddles_svg_counts(three_saddles_portrait):
 
 
 def test_regular_pair_svg_has_no_markers(regular_portrait):
-    svg = portrait_to_svg(regular_portrait, top_class="RegularPair")
+    svg = portrait_to_svg(regular_portrait, STYLE, top_class="RegularPair")
     root = ET.fromstring(svg)
     assert root.findall(f"{NS}circle") == []
     assert [p for p in root.findall(f"{NS}polyline")
@@ -78,7 +79,7 @@ def test_svg_rendering_deterministic(three_saddles_portrait):
 
 
 def test_viewbox_spans_trace_box(three_saddles_portrait):
-    svg = portrait_to_svg(three_saddles_portrait)
+    svg = portrait_to_svg(three_saddles_portrait, STYLE, None)
     root = ET.fromstring(svg)
     box = three_saddles_portrait.box
     assert root.get("viewBox") == f"-{box:g} -{box:g} {2 * box:g} {2 * box:g}"
@@ -89,7 +90,7 @@ def test_empty_portrait_rejected():
     empty = Portrait(curves=[], discriminant_locus=[], box=0.5,
                      case=Case.CASE1_REGULAR, analysis=None, warnings=0)
     with pytest.raises(EmptyPortrait):
-        portrait_to_svg(empty)
+        portrait_to_svg(empty, STYLE, None)
 
 
 def test_camera_along_z_projects_to_xy():
@@ -132,11 +133,11 @@ def test_style_sets_only_the_camera():
 
 def test_surface_view_renders_and_emphasizes_edge(three_saddles_portrait):
     curves3d = project_to_surface(THREE_SADDLES_JET, three_saddles_portrait)
-    svg = surface_view_to_svg(curves3d)
+    svg = surface_view_to_svg(curves3d, STYLE)
     root = ET.fromstring(svg)
     kinds = {p.get("class") for p in root.findall(f"{NS}polyline")}
     assert {"curve", "separatrix", "edge"} <= kinds
-    assert svg == surface_view_to_svg(curves3d)
+    assert svg == surface_view_to_svg(curves3d, STYLE)
 
 
 def test_surface_view_depth_sorting():
@@ -235,28 +236,28 @@ def test_array_formatting_matches_per_value_reference(monkeypatch):
     assert len(portrait.curves[1]) > render._MAX_POLYLINE_POINTS   # _thin runs
     for jet in (None, THREE_SADDLES_JET):          # jet=None writes nan xyz
         assert curves_to_csv(portrait, jet) == _csv_reference(portrait, jet)
-    assert ",nan,nan,nan,0,1\n" in curves_to_csv(portrait)
+    assert ",nan,nan,nan,0,1\n" in curves_to_csv(portrait, None)
     curves3d = [SurfaceCurve(points=c.samples, kind=kind)
                 for c, kind in zip(portrait.curves, ("separatrix", "edge"))]
     curves3d.append(SurfaceCurve(points=np.array([[0.0, -0.0, 0.0],
                                                   [1e-300, 0.0, -0.0]]),
                                  kind="discriminant"))
-    svg = portrait_to_svg(portrait, top_class="Degenerate")
-    surface = surface_view_to_svg(curves3d)
+    svg = portrait_to_svg(portrait, STYLE, top_class="Degenerate")
+    surface = surface_view_to_svg(curves3d, STYLE)
     assert "case: unknown" in svg
     numbers = [n for p in ET.fromstring(svg).findall(f"{NS}polyline")
                for n in p.get("points").replace(",", " ").split()]
     assert "0" in numbers and "-0" not in numbers
     monkeypatch.setattr(render, "_polyline", _polyline_reference)
-    assert svg == portrait_to_svg(portrait, top_class="Degenerate")
-    assert surface == surface_view_to_svg(curves3d)
+    assert svg == portrait_to_svg(portrait, STYLE, top_class="Degenerate")
+    assert surface == surface_view_to_svg(curves3d, STYLE)
 
 
 def test_three_saddles_output_bytes_pinned(three_saddles_portrait):
     # sha256 of the documents written by the per-value formatter; re-pinned
     # when the separatrix seeds moved to the exact eigenframe (fiber seeds
     # first: the same curves, bit for bit, in another order)
-    svg = portrait_to_svg(three_saddles_portrait, top_class="ThreeSaddles")
+    svg = portrait_to_svg(three_saddles_portrait, STYLE, top_class="ThreeSaddles")
     csv = curves_to_csv(three_saddles_portrait, THREE_SADDLES_JET)
     assert hashlib.sha256(svg.encode()).hexdigest() == (
         "e693049f7606bdac73577b4aa8f52e6caa73cf97f1043d01c0aea5ed625f3ac9")
@@ -270,7 +271,7 @@ def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
     # chart-q cubic of this Case-3 BDE has C_u = 0, so its leading
     # coefficient vanishes and the analysis falls back to chart p)
     config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)
-    jet = sample_generic_jet(4)
+    jet = sample_generic_jet(4, "generic")
     portrait = trace_portrait(
         build_geometric_bde(jet, FoliationKind.CHARACTERISTIC), config)
     assert sum(c.seed_index == -1 for c in portrait.curves) == 1
@@ -286,7 +287,7 @@ def test_continuation_and_chart_p_separatrix_csv_bytes_pinned():
     assert {c.chart for c in portrait.separatrices} == {CHART_P}
     # re-pinned with the exact eigenframe: separatrix samples moved by at
     # most 1.3e-13, every length and termination kept
-    assert hashlib.sha256(curves_to_csv(portrait).encode()).hexdigest() == (
+    assert hashlib.sha256(curves_to_csv(portrait, None).encode()).hexdigest() == (
         "1ae11d820af8be8b4dbecd2e6462f2c763ea4587e90a3a26b9318143ac82567a")
 
 
@@ -299,13 +300,13 @@ def test_singular_ticks_point_along_their_chart_direction():
     assert portrait.analysis.chart == CHART_P
     assert portrait.singular_points == ((0.0, "saddle"),)
     assert ('<line class="singular-tick" x1="-0.00703125" y1="0" '
-            'x2="0.00703125" y2="0" ') in portrait_to_svg(portrait)
+            'x2="0.00703125" y2="0" ') in portrait_to_svg(portrait, STYLE, None)
 
     # the three chart-p saddles of the continuation pin's field
     portrait = trace_portrait(BdeField(-u - v + u * v, 2 * u - v, v + u * u),
                               config)
     assert portrait.analysis.chart == CHART_P
-    ticks = ET.fromstring(portrait_to_svg(portrait)).findall(f"{NS}line")
+    ticks = ET.fromstring(portrait_to_svg(portrait, STYLE, None)).findall(f"{NS}line")
     assert len(ticks) == len(portrait.singular_points) == 3
     for (p, _), tick in zip(portrait.singular_points, ticks):
         x1, y1, x2, y2 = (float(tick.get(k)) for k in ("x1", "y1", "x2", "y2"))

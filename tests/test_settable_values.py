@@ -10,7 +10,7 @@ import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "edgefol"
-SETTABLE_VALUES = 27
+SETTABLE_VALUES = 21
 
 
 def _settable(tree):

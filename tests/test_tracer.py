@@ -17,7 +17,7 @@ from edgefol.bde import BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift
 from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
-from edgefol.render import portrait_to_svg
+from edgefol.render import RenderStyle, portrait_to_svg
 from edgefol import tracer
 from edgefol.tracer import (
     TERM_CAP,
@@ -130,7 +130,8 @@ def test_chart_breakdown_raises_with_partial():
 def test_chart_breakdown_continues_in_dual_chart():
     # one boundary curve of this portrait breaks down in its chart; the
     # portrait continues it in the dual chart from the broken half's end
-    bde = build_geometric_bde(sample_generic_jet(4), FoliationKind.CHARACTERISTIC)
+    bde = build_geometric_bde(sample_generic_jet(4, "generic"),
+                              FoliationKind.CHARACTERISTIC)
     portrait = trace_portrait(bde, TraceConfig(box=0.15, seeds_per_side=8,
                                                max_steps=120))
     broken = [c for c in portrait.curves if c.seed_index >= 0 and "chart_breakdown"
@@ -173,7 +174,9 @@ def test_direction_roots_cover_both_branches():
     assert len(seeds) == 2
     values = sorted(v for _, v in seeds)
     assert np.allclose(values, [-1.0, 1.0])
-    assert direction_roots(BdeField(ONE, Poly2(), ONE), 0.0, 0.0) == []
+    # no real direction, and a zero tensor (every direction solves it)
+    for field in (BdeField(ONE, Poly2(), ONE), BdeField(Poly2(), Poly2(), Poly2())):
+        assert direction_roots(field, 0.0, 0.0) == []
     # every direction on the side grids of the geometric BDEs lies in the
     # unit interval of its chart: trace_portrait seeds them unfiltered
     for config in (TraceConfig(), TraceConfig(box=0.15, seeds_per_side=8)):
@@ -241,7 +244,7 @@ def test_mirrored_jet_traces_the_mirror_image():
     mirrored portrait: every curve is a curve of the other portrait under
     (u, v, p) -> (-u, v, -p), in either chart."""
     config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)
-    jets = (THREE_SADDLES_JET, sample_generic_jet(0),
+    jets = (THREE_SADDLES_JET, sample_generic_jet(0, "generic"),
             sample_generic_jet(0, "edge_degenerate"))
     for jet in jets:
         mirror = EdgeJet(jet.a20, -jet.a30, jet.b20, -jet.b30, -jet.b12, jet.b03)
@@ -275,7 +278,7 @@ def test_portrait_of_degenerate_discriminant_has_unknown_case():
     assert portrait.warnings >= 1
     assert portrait.curves
     assert portrait.discriminant_locus
-    svg = portrait_to_svg(portrait, top_class="Degenerate")
+    svg = portrait_to_svg(portrait, RenderStyle(), top_class="Degenerate")
     assert "<!-- top_class: Degenerate | case: unknown -->" in svg
 
 
@@ -442,7 +445,8 @@ def test_recorded_batch_rows_match_one_row_batches():
     exits the box, hits the step cap or breaks down at a vertical
     direction.  At 600 steps 9 of the 64 halves break down, and for 4 of
     them the re-projection moves the last sample."""
-    field = build_geometric_bde(sample_generic_jet(4), FoliationKind.CHARACTERISTIC)
+    field = build_geometric_bde(sample_generic_jet(4, "generic"),
+                                FoliationKind.CHARACTERISTIC)
     config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=600)
     seeds = [c for c in trace_portrait(field, config).curves if c.seed_index >= 0]
     q = np.array([c.chart == CHART_Q for c in seeds])
@@ -454,6 +458,7 @@ def test_recorded_batch_rows_match_one_row_batches():
     n = len(seeds)
     sizes = mixed.steps[:n] + 1 + mixed.steps[n:]
     ends = np.cumsum(sizes)
+    assert mixed.bounds.tolist() == [0, *ends.tolist()]
     for i in range(n):
         one = _integrate_batch(field.core, states[i:i + 1], q[i:i + 1], **options)
         halves = [i, n + i]      # backward, forward
@@ -492,7 +497,7 @@ def _curve_bytes(curve):
 
 
 @pytest.mark.parametrize("jet, kind, config", [
-    (sample_generic_jet(4), FoliationKind.CHARACTERISTIC,
+    (sample_generic_jet(4, "generic"), FoliationKind.CHARACTERISTIC,
      TraceConfig(box=0.15, seeds_per_side=8, max_steps=120)),
     (sample_generic_jet(1, "edge_degenerate"), FoliationKind.ASYMPTOTIC,
      TraceConfig(box=0.1, step=1e-2, seeds_per_side=3, max_steps=600)),
@@ -660,7 +665,7 @@ def test_composition_through_null_cusp_is_34():
 
 
 def test_lc_curves_cross_edge_as_23_cusps_on_image():
-    jet = sample_generic_jet(4)
+    jet = sample_generic_jet(4, "generic")
     curve = edge_crossing_curve(jet, FoliationKind.LINES_OF_CURVATURE, 3000)
     # the domain curve crosses v = 0 transversally
     assert curve.samples[:, 1].min() < 0 < curve.samples[:, 1].max()
@@ -670,7 +675,7 @@ def test_lc_curves_cross_edge_as_23_cusps_on_image():
 
 
 def test_asymptotic_cusps_on_edge_are_34_on_image():
-    jet = sample_generic_jet(4)     # b20 > 0.1 for this seed
+    jet = sample_generic_jet(4, "generic")     # b20 > 0.1 for this seed
     assert jet.b20 > 0.1
     for kind in (FoliationKind.ASYMPTOTIC, FoliationKind.CHARACTERISTIC):
         curve = edge_crossing_curve(jet, kind, 3000)
