@@ -256,8 +256,6 @@ class _ChartCore:
             # einsum, not `@`: BLAS sums a row differently in other batches
             np.einsum("mr,mc->cr", monomials, self.table,
                       out=out[:, lo:lo + EVAL_BLOCK])
-        if np.ndim(q) == 0:          # one chart for every row: no per-row select
-            return tuple(out[4:] if q else out[:4])
         return tuple(np.where(q, out[4:], out[:4]))
 
     @staticmethod

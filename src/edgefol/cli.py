@@ -25,8 +25,18 @@ from .verify import (
     run_verify,
 )
 
+
+class _UsageError(Exception):
+    """An argparse usage error: (parser, message), raised to `main`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgefol",
         description="Foliations of cuspidal-edge surfaces: classification, "
                     "tracing, rendering and verification.",
@@ -35,17 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable error output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify one foliation")
-    p_classify.add_argument("--jet", required=True, help="jet JSON file")
-    p_classify.add_argument("--foliation", required=True,
-                            help="lc | asymptotic | characteristic")
-
-    p_trace = sub.add_parser("trace", help="trace a portrait to CSV")
-    _add_trace_args(p_trace)
+    jet_commands = [sub.add_parser(name, help=text) for name, text in (
+        ("classify", "classify one foliation"),
+        ("trace", "trace a portrait to CSV"),
+        ("render", "render portrait SVG(s)"))]
+    for p_jet in jet_commands:
+        p_jet.add_argument("--jet", required=True, help="jet JSON file")
+        p_jet.add_argument("--foliation", required=True,
+                           help="lc | asymptotic | characteristic")
+    _, p_trace, p_render = jet_commands
+    for p_jet in (p_trace, p_render):
+        for field in fields(TraceConfig):  # --box, --step, --seeds-per-side, --max-steps
+            p_jet.add_argument("--" + field.name.replace("_", "-"),
+                               type=type(field.default), default=field.default)
     p_trace.add_argument("--out", required=True, help="output CSV path")
-
-    p_render = sub.add_parser("render", help="render portrait SVG(s)")
-    _add_trace_args(p_render)
     p_render.add_argument("--out", required=True, help="domain SVG path")
     p_render.add_argument("--surface", default=None,
                           help="optional surface-view SVG path")
@@ -61,15 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_report.add_argument("--workers", type=int, default=1)
         p_report.add_argument("--out", default=None, help="also write report here")
     return parser
-
-
-def _add_trace_args(sub):
-    sub.add_argument("--jet", required=True, help="jet JSON file")
-    sub.add_argument("--foliation", required=True,
-                     help="lc | asymptotic | characteristic")
-    for field in fields(TraceConfig):  # --box, --step, --seeds-per-side, --max-steps
-        sub.add_argument("--" + field.name.replace("_", "-"),
-                         type=type(field.default), default=field.default)
 
 
 def _validate_numeric(args):
@@ -189,10 +193,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # filled as argparse reads argv: --json precedes the command, so a usage
+    # error finds it set
+    args = argparse.Namespace()
     try:
         try:
+            try:
+                build_parser().parse_args(argv, args)
+            except _UsageError as exc:    # argparse's own report without --json
+                if not args.json:
+                    argparse.ArgumentParser.error(*exc.args)
+                raise ConfigError(exc.args[1]) from None
             _validate_numeric(args)
             status = _COMMANDS[args.command](args)
         except BrokenPipeError:

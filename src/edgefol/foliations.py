@@ -163,26 +163,29 @@ def _origin_case(jet: EdgeJet, kind: FoliationKind):
 
 # --- closed-form analysis ---
 
-# kind -> closed forms (cubic, eigenvalue quadratic, discriminant) of invariants
+# kind -> closed forms (cubic, discriminant) of invariants
 _CLOSED_FORMS = {
     FoliationKind.ASYMPTOTIC: (invariants.asymptotic_cubic,
-                               invariants.asymptotic_alpha,
                                invariants.asymptotic_discriminant),
     FoliationKind.CHARACTERISTIC: (invariants.characteristic_cubic,
-                                   invariants.characteristic_alpha,
                                    invariants.characteristic_discriminant),
 }
 
 
 def closed_forms(jet: EdgeJet, kind: FoliationKind):
     """(cubic, eigenvalue quadratic, discriminant) of the kind's Type-2
-    closed forms, in the jet's coefficient type.  Float overflow raises
-    OverflowError, and it does so whenever one of the three would alone:
-    the discriminant's powers cover those of the other two."""
+    closed forms, in the jet's coefficient type.  The quadratic is the class
+    rule alpha = phi' - c3 p^2 of the cubic (Bruce & Tari 1995); the
+    characteristic alpha printed with its cubic is twice it, and disagrees
+    with its own expanded product.  Float overflow raises OverflowError
+    whenever one of the three would alone: the discriminant's powers cover
+    those of the other two."""
     forms = _CLOSED_FORMS.get(FoliationKind(kind))
     if forms is None:
         raise ValueError("lines of curvature have no Type-2 cubic")
-    return tuple(f(jet.a20, jet.b30, jet.b12, jet.b03) for f in forms)
+    args = (jet.a20, jet.b30, jet.b12, jet.b03)
+    c3, c2, c1, _ = cubic = forms[0](*args)
+    return cubic, (2 * c3, 2 * c2, c1), forms[1](*args)
 
 
 def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:

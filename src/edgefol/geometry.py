@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import HigherTermsPresent
 from .jets import EdgeJet
-from .poly import Poly2
+from .poly import CompiledPolySet, Poly2
 
 # Entries kept by each memo keyed by a jet: `form_polynomials` and
 # `foliations.build_geometric_bde`.  Reuse happens inside one request, with no
@@ -55,6 +57,13 @@ def surface_polynomials(jet: EdgeJet) -> tuple[Poly2, Poly2, Poly2]:
         + Poly2.monomial(0, 4) * Poly2({(i, j): c for i, j, c in h.h5})
     )
     return f1, f2, f3
+
+
+def surface_map(jet: EdgeJet):
+    """f compiled once (`surface_polynomials`): the map from point arrays
+    (u, v) to their (n, 3) images."""
+    cset = CompiledPolySet(surface_polynomials(jet))
+    return lambda u, v: np.stack(cset.values(u, v), axis=1)
 
 
 def _half(jet):

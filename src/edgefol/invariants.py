@@ -30,11 +30,6 @@ def asymptotic_cubic(a20, b30, b12, b03):
     return (b30 - a20 * b12, -a20 * b03 / 2, 2 * b12, b03 / 2)
 
 
-def asymptotic_alpha(a20, b30, b12, b03):
-    """Coefficients (a2, a1, a0) of the transverse-eigenvalue quadratic."""
-    return (2 * (b30 - a20 * b12), -a20 * b03, 2 * b12)
-
-
 def asymptotic_discriminant(a20, b30, b12, b03):
     """Closed-form discriminant of the asymptotic singularity cubic."""
     return (
@@ -53,21 +48,6 @@ def characteristic_cubic(a20, b30, b12, b03):
         (a20 * b03**2 + 8 * b12**2) / 4,
         b03 * b12,
         b03**2 / 4,
-    )
-
-
-def characteristic_alpha(a20, b30, b12, b03):
-    """Eigenvalue quadratic matching the derivative-based extraction.
-
-    Half of the doubled form that circulates alongside the characteristic
-    cubic: that version is inconsistent with its own expanded product and
-    with direct differentiation.  Signs, roots and eigen products are
-    unaffected by the positive rescaling.
-    """
-    return (
-        b03 * (a20 * b12 - b30),
-        (a20 * b03**2 + 8 * b12**2) / 2,
-        b12 * b03,
     )
 
 

@@ -136,7 +136,7 @@ def _exponent(name, k):
 def _parse_bivariate(name, raw):
     if not isinstance(raw, (list, tuple)):
         raise JetFormatError(f"{name} must be an array of [i, j, c] monomial triples")
-    out = []
+    out, seen = [], set()
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise JetFormatError(f"{name} entries must be [i, j, c] triples")
@@ -144,6 +144,9 @@ def _parse_bivariate(name, raw):
         if i + j > HIGHER_DEGREE_CAP:
             raise JetFormatError(
                 f"{name} exceeds the total degree cap {HIGHER_DEGREE_CAP}")
+        if (i, j) in seen:
+            raise JetFormatError(f"{name} names the monomial [{i}, {j}] twice")
+        seen.add((i, j))
         c = _finite_float(f"{name}[{i},{j}]", c)
         if c != 0.0:
             out.append((i, j, c))
@@ -160,7 +163,8 @@ def validate_jet(raw) -> EdgeJet:
     that are not real numbers (strings and booleans included), and on
     malformed higher-term arrays: h1..h4 longer than HIGHER_DEGREE_CAP + 1
     coefficients, h5 triples of total degree above HIGHER_DEGREE_CAP, or
-    h5 exponents that are not nonnegative integers.
+    h5 exponents that are not nonnegative integers or that name one
+    monomial twice.
     """
     if not isinstance(raw, dict):
         raise JetFormatError("jet record must be a mapping")

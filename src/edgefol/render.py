@@ -17,9 +17,8 @@ import numpy as np
 
 from .bde import CHART_Q
 from .errors import EmptyPortrait
-from .geometry import surface_polynomials
+from .geometry import surface_map
 from .jets import EdgeJet
-from .poly import CompiledPolySet
 from .tracer import Portrait
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -195,16 +194,12 @@ def surface_view_to_svg(curves3d: list, style: RenderStyle) -> str:
 def curves_to_csv(portrait: Portrait, jet: EdgeJet | None) -> str:
     """Flat CSV of every traced curve: t, u, v, p, x, y, z, curve_id,
     separatrix; x, y, z map (u, v) through `jet`'s surface (NaN if None)."""
-    image = None
-    if jet is not None:
-        image = CompiledPolySet(list(surface_polynomials(jet)))
+    image = None if jet is None else surface_map(jet)
     parts = ["t,u,v,p,x,y,z,curve_id,separatrix\n"]
     for cid, curve in enumerate(portrait.curves):
         uvp = curve.samples
-        if image is not None:
-            xyz = np.stack(image.values(uvp[:, 0], uvp[:, 1]), axis=1)
-        else:
-            xyz = np.full((len(uvp), 3), np.nan)
+        xyz = (np.full((len(uvp), 3), np.nan) if image is None
+               else image(uvp[:, 0], uvp[:, 1]))
         flag = 1 if curve.is_separatrix else 0
         row = "%.9g," * 7 + f"{cid},{flag}\n"
         rows = np.column_stack([curve.t, uvp, xyz]).ravel().tolist()

@@ -47,7 +47,7 @@ from .bde import (
     _ChartCore,
 )
 from .errors import DegenerateDiscriminant, EdgefolError
-from .geometry import surface_polynomials
+from .geometry import surface_map
 from .jets import EdgeJet
 from .poly import CompiledPolySet, power_table
 
@@ -578,11 +578,7 @@ class SurfaceCurve:
 def project_to_surface(jet: EdgeJet, portrait: Portrait) -> list:
     """Map every portrait curve through the parametrization; the singular
     edge curve f(u, 0) is always included, at 301 points."""
-    cset = CompiledPolySet(surface_polynomials(jet))
-
-    def image(u, v):
-        return np.stack(cset.values(u, v), axis=1)
-
+    image = surface_map(jet)
     out = [SurfaceCurve(points=image(*curve.projected.T),
                         kind="separatrix" if curve.is_separatrix else "curve")
            for curve in portrait.curves]

@@ -17,8 +17,7 @@ import numpy as np
 from edgefol.bde import CHART_Q
 from edgefol.errors import EdgefolError
 from edgefol.foliations import build_geometric_bde
-from edgefol.geometry import surface_polynomials
-from edgefol.poly import CompiledPolySet
+from edgefol.geometry import surface_map
 from edgefol.tracer import TraceConfig, _trace_worklist
 
 
@@ -32,8 +31,7 @@ class FitIllConditioned(EdgefolError):
 
 def surface_image(jet, u, v):
     """The (n, 3) image under f of the domain points (u, v)."""
-    return np.stack(CompiledPolySet(surface_polynomials(jet)).values(u, v),
-                    axis=1)
+    return surface_map(jet)(u, v)
 
 
 def edge_crossing_curve(jet, kind, max_steps):

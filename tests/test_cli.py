@@ -99,6 +99,34 @@ def test_verify_has_no_tolerance_option(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--jet", "j.json", "--foliation", "asymptotic", "--out", "o.csv",
+      "--box", "abc"], "argument --box: invalid float value: 'abc'"),
+    (["classify", "--jet", "j.json"],
+     "the following arguments are required: --foliation"),
+    (["classify", "--jet", "j.json", "--foliation", "lc", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-float", "missing-flag", "unknown-flag", "missing-command"])
+def test_usage_errors_under_json_are_config_errors(capsys, argv, message):
+    assert main(["--json", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "ConfigError", "message": message}
+    assert err == ""
+
+
+def test_usage_errors_without_json_keep_argparse_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--jet", "j.json", "--foliation", "asymptotic",
+              "--out", "o.csv", "--box", "abc"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: edgefol trace [-h] --jet JET")
+    assert err.endswith(
+        "edgefol trace: error: argument --box: invalid float value: 'abc'\n")
+
+
 def test_invalid_jet_exits_1_with_json_error(jet_file, capsys):
     path = jet_file({**CUSP_JET, "b03": 0.0})
     rc = main(["--json", "classify", "--jet", path, "--foliation", "lc"])
@@ -115,6 +143,15 @@ def test_bad_h5_exponent_exits_1_with_json_error(jet_file, capsys):
     assert rc == 1
     assert out == {"error": "JetFormatError",
                    "message": "h5 exponents must be nonnegative integers"}
+
+
+def test_repeated_h5_monomial_exits_1_with_json_error(jet_file, capsys):
+    path = jet_file({**CUSP_JET, "h5": [[0, 3, 1.0], [0, 3, 2.0]]})
+    rc = main(["--json", "classify", "--jet", path, "--foliation", "lc"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out == {"error": "JetFormatError",
+                   "message": "h5 names the monomial [0, 3] twice"}
 
 
 def test_quoted_coefficient_exits_1_with_json_error(jet_file, capsys):
@@ -329,7 +366,9 @@ def test_unknown_foliation_rejected(jet_file, capsys):
     # the command fails, and its JSON error report meets the closed stdout
     (["--json"], SADDLE_JET, ["trace", "--box", "nan", "--out", "o.csv"]),
     (["--json"], dict(SADDLE_JET, b30="0.1"), ["classify"]),
-], ids=["json", "text", "json-trace-box-nan", "json-classify-quoted"])
+    (["--json"], SADDLE_JET, ["trace", "--box", "abc", "--out", "o.csv"]),
+], ids=["json", "text", "json-trace-box-nan", "json-classify-quoted",
+        "json-trace-box-abc"])
 def test_closed_stdout_exits_2_without_a_message(jet_file, tmp_path, flags,
                                                  record, command):
     """A reader that has closed stdout (`edgefol classify ... | head -n 0`)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from edgefol import foliations, invariants
+from edgefol import foliations
 from edgefol.bde import (
     CHART_Q,
     SIGN_CONVENTION_NOTE,
@@ -356,18 +356,32 @@ def test_every_type2_class_on_a_real_jet(kind, top):
     assert len(portrait.separatrices) == 4 * types.count("saddle")
 
 
-@pytest.mark.parametrize("cubic, alpha", [
-    (invariants.asymptotic_cubic, invariants.asymptotic_alpha),
-    (invariants.characteristic_cubic, invariants.characteristic_alpha),
-], ids=["asymptotic", "characteristic"])
-def test_alpha_is_phi_prime_minus_c3_p_squared(cubic, alpha):
+# the eigenvalue quadratics printed alongside the two closed-form cubics,
+# written out: asymptotic alpha, and twice the characteristic alpha
+_PRINTED_ALPHA = {
+    FoliationKind.ASYMPTOTIC: lambda a20, b30, b12, b03:
+        (2 * (b30 - a20 * b12), -a20 * b03, 2 * b12),
+    FoliationKind.CHARACTERISTIC: lambda a20, b30, b12, b03:
+        (2 * b03 * (a20 * b12 - b30), a20 * b03**2 + 8 * b12**2, 2 * b12 * b03),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["asymptotic", "characteristic"])
+def test_alpha_is_phi_prime_minus_c3_p_squared(kind):
     """alpha(p) = phi'(p) - c3*p^2 for both closed forms, so the eigen
-    product -phi'(r)*alpha(r) at a root r decides its type (see README)."""
+    product -phi'(r)*alpha(r) at a root r decides its type (see README);
+    the quadratic is the printed asymptotic alpha and half the printed
+    characteristic one."""
     a20, b30, b12, b03, p = sp.symbols("a20 b30 b12 b03 p")
-    c3, c2, c1, c0 = cubic(a20, b30, b12, b03)
-    a2, a1, a0 = alpha(a20, b30, b12, b03)
+    jet = EdgeJet(a20, 0, 0, b30, b12, b03)
+    (c3, c2, c1, c0), quadratic, _ = closed_forms(jet, kind)
+    alpha = sum(a * p**k for k, a in zip((2, 1, 0), quadratic))
     phi = c3 * p**3 + c2 * p**2 + c1 * p + c0
-    assert sp.simplify(a2 * p**2 + a1 * p + a0 - (sp.diff(phi, p) - c3 * p**2)) == 0
+    assert sp.expand(alpha - (sp.diff(phi, p) - c3 * p**2)) == 0
+    printed = _PRINTED_ALPHA[kind](a20, b30, b12, b03)
+    factor = 1 if kind is FoliationKind.ASYMPTOTIC else sp.Rational(1, 2)
+    for got, want in zip(quadratic, printed):
+        assert sp.expand(got - factor * want) == 0
 
 
 def test_classify_output_bytes_pinned():

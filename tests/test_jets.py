@@ -82,6 +82,18 @@ def test_bad_h5_exponent_is_a_format_error(exponent):
         validate_jet({**BASE, "h5": [[0, exponent, 1.0]]})
 
 
+@pytest.mark.parametrize("terms", [
+    [[0, 3, 1.0], [0, 3, 2.0]],
+    [[1, 1, 0.0], [1, 1, 1.0]],        # a zero term still names its monomial
+    [[2, 1, 1.0], [2.0, np.int64(1), 3.0]],
+])
+def test_repeated_h5_monomial_is_a_format_error(terms):
+    # f's v^4 * h5 term keeps one coefficient per monomial: a repeat would
+    # silently drop all but one of them
+    with pytest.raises(JetFormatError, match="twice"):
+        validate_jet({**BASE, "h5": terms})
+
+
 @pytest.mark.parametrize("record", [
     {**BASE, "a20": "1.5"},
     {**BASE, "a30": True},

@@ -145,6 +145,29 @@ def test_chart_breakdown_continues_in_dual_chart():
     assert np.array_equal(more.samples[more.seed_sample],
                           (end[0], end[1], 1.0 / end[2]))
 
+    # Which half goes on: on M, F_q = 2qF - F_p = -F_p, so in (u, v) the dual
+    # chart's field is -(1/p) times the parent chart's, p the parent's chart
+    # variable.  A parent half that broke down running in time direction s
+    # goes on as the dual half run in direction -s*sign(p); the other half
+    # retraces the parent.
+    def uv_field(chart, row):
+        swap = [1, 0, 2] if chart == CHART_Q else [0, 1, 2]
+        xi = bde.core.rhs(row[None, swap], chart == CHART_Q, False)[0]
+        return xi[swap][:2]
+
+    k, p = more.seed_sample, end[2]
+    ratio = uv_field(more.chart, more.samples[k]) / uv_field(curve.chart, end)
+    assert np.max(np.abs(ratio * p + 1.0)) <= 1e-12
+    s = 1 if curve.termination == "chart_breakdown" else -1
+    last = (end - curve.samples[-2 if s == 1 else 1])[:2]
+    for half in (1, -1):
+        first = (more.samples[k + half] - more.samples[k])[:2]
+        cosine = first @ last / (np.linalg.norm(first) * np.linalg.norm(last))
+        if half == -s * np.sign(p):
+            assert cosine >= 0.999
+        else:
+            assert cosine <= -0.999
+
 
 def test_overflowing_rows_stop_non_finite_and_are_not_continued():
     # coefficients near 1e150: the field is finite at the seed, but the
