@@ -220,7 +220,9 @@ class _ChartCore:
     coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q.
     F, F_w, F_x and F_p of both charts are derived exactly from
     `chart_tensor` and stored as one table over a shared list of monomials
-    w^i x^j p^k (a column per chart and value).
+    w^i x^j p^k (a column per chart and value).  `rhs` contracts its
+    6-column copy without the F columns: a column's bits do not depend on
+    the others.
     """
 
     def __init__(self, bde: BdeField):
@@ -229,34 +231,54 @@ class _ChartCore:
         monomials = sorted(set().union(*columns))
         self.table = np.array([[float(col.get(m, 0)) for col in columns]
                                for m in monomials]).reshape(-1, 8)
+        self.gradient_table = self.table[:, [1, 2, 3, 5, 6, 7]].copy()
         exponents = np.array(monomials, dtype=np.intp).reshape(-1, 3)
         self.degree = int(exponents.max(initial=0))
         # each monomial's three factors, as rows of the power table below
-        self.factors = (3 * exponents + np.arange(3)).T.copy()
+        self.factors = tuple((3 * exponents + np.arange(3)).T.copy())
+
+    def _evaluate(self, S, q, table):
+        """Per internal row, the columns of `table` (chart p's, then chart
+        q's) in the row's chart, as (columns, rows); `q` is a chart-q mask
+        or one chart for every row.  Rows are evaluated in blocks of
+        EVAL_BLOCK, each on its own: a row's bits do not depend on its
+        batch."""
+        if len(S) <= EVAL_BLOCK:
+            out = self._contract(S, table, None)
+        else:
+            out = np.empty((table.shape[1], len(S)))
+            for lo in range(0, len(S), EVAL_BLOCK):
+                self._contract(S[lo:lo + EVAL_BLOCK], table,
+                               out[:, lo:lo + EVAL_BLOCK])
+        half = len(out) // 2
+        if not isinstance(q, np.ndarray):   # one chart: its columns, no select
+            return out[half:] if q else out[:half]
+        return np.where(q, out[half:], out[:half])
+
+    def _contract(self, S, table, out):
+        """`table` contracted with the monomials of the rows S (at most
+        EVAL_BLOCK of them), as (columns, rows), into `out` if it is not
+        None."""
+        # powers[e * 3 + c] = (column c of the rows) ** e
+        powers = np.empty((self.degree + 1, 3, len(S)))
+        powers[0] = 1.0
+        powers[1:] = S.T
+        for e in range(2, self.degree + 1):
+            np.multiply(powers[e - 1], powers[1], out=powers[e])
+        powers = powers.reshape(3 * self.degree + 3, len(S))
+        # the monomials, multiplied in place: one (3, monomials, rows)
+        # gather would triple a block's peak memory
+        i, j, k = self.factors
+        monomials = powers.take(i, axis=0)
+        monomials *= powers.take(j, axis=0)
+        monomials *= powers.take(k, axis=0)
+        # einsum, not `@`: BLAS sums a row differently in other batches
+        return np.einsum("mr,mc->cr", monomials, table, out=out)
 
     def F_and_gradient(self, S, q):
         """(F, F_w, F_x, F_p) per internal row; `q` is a chart-q mask or one
-        chart for every row.  Rows are evaluated in blocks of EVAL_BLOCK,
-        each on its own: a row's bits do not depend on its batch."""
-        out = np.empty((8, len(S)))
-        for lo in range(0, len(S), EVAL_BLOCK):
-            block = S[lo:lo + EVAL_BLOCK]
-            # powers[e * 3 + c] = (column c of the rows) ** e
-            powers = np.empty((self.degree + 1, 3, len(block)))
-            powers[0] = 1.0
-            powers[1:] = block.T
-            np.multiply.accumulate(powers, axis=0, out=powers)
-            powers = powers.reshape(-1, len(block))
-            # the monomials, multiplied in place: one (3, monomials, rows)
-            # gather would triple a block's peak memory
-            i, j, k = self.factors
-            monomials = powers[i]
-            monomials *= powers[j]
-            monomials *= powers[k]
-            # einsum, not `@`: BLAS sums a row differently in other batches
-            np.einsum("mr,mc->cr", monomials, self.table,
-                      out=out[:, lo:lo + EVAL_BLOCK])
-        return tuple(np.where(q, out[4:], out[:4]))
+        chart for every row."""
+        return tuple(self._evaluate(S, q, self.table))
 
     @staticmethod
     def xi(p, Fu, Fv, Fp):
@@ -267,7 +289,7 @@ class _ChartCore:
 
     def rhs(self, S, q, normalize):
         """`xi` per internal row, scaled to unit length if `normalize`."""
-        out = self.xi(S[:, 2], *self.F_and_gradient(S, q)[1:])
+        out = self.xi(S[:, 2], *self._evaluate(S, q, self.gradient_table))
         if normalize:
             norms = np.sqrt(np.einsum("ij,ij->i", out, out))
             out /= (norms + 1e-300)[:, None]

@@ -139,6 +139,12 @@ class _BatchResult:
     bounds: np.ndarray | None    # seed i's curve is samples[bounds[i]:bounds[i + 1]]
 
 
+def _one_chart(q):
+    """A chart-q mask, or its one value when every row shares it: the
+    evaluator then reads that chart's columns without a select."""
+    return bool(q[0]) if q.size and (q.all() or not q.any()) else q
+
+
 def _newton_p(core: _ChartCore, S, q, ftol) -> bool:
     """One Newton step in the chart variable toward F = 0, in place on the
     rows of S.  Rows with |F_p| <= 1e-12 or |F| < ftol keep their value;
@@ -201,85 +207,97 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
     # chart, where the motion is slow again.  Per-row parameters, that step
     # cap among them, are gathered through `active` whenever it shrinks.
     h, abs_h = step[:, None], np.abs(step)
+    cap = np.maximum(0.05, 50.0 * abs_h)
     per_row = dict(q=q, h=h, half_h=0.5 * h, sixth_h=h / 6.0,
-                   stiff_move=5.0 * abs_h, wild_move=20.0 * abs_h,
-                   cap=np.maximum(0.05, 50.0 * abs_h), sing=sing)
+                   lim=np.stack([cap, cap, 5.0 * abs_h], axis=1),
+                   wild_move=20.0 * abs_h, sing=sing)
     if probe:
-        per_row.update(zip(("center", "land", "exit", "transform"),
-                           (np.concatenate([x, x]) for x in ball)))
+        center, land, exit_, transform = (np.concatenate([x, x]) for x in ball)
+        per_row.update(center=center, land2=land**2, exit2=exit_**2,
+                       transform=transform)
     r = per_row
+    chart = _one_chart(q)
+    bounds = np.array([np.finfo(float).max] * 2 + [CHART_BOUND])
     anchor = S.copy()   # each row's last scheduled state, indexed like S
     cur = S.copy()      # the active rows' states; S takes a row's when it stops
     for k in range(1, max_steps + 1):
         if active.size == 0:
             break
         qa = r["q"]
-        k1 = core.rhs(cur, qa, probe)
-        k2 = core.rhs(cur + r["half_h"] * k1, qa, probe)
-        k3 = core.rhs(cur + r["half_h"] * k2, qa, probe)
-        k4 = core.rhs(cur + r["h"] * k3, qa, probe)
+        k1 = core.rhs(cur, chart, probe)
+        k2 = core.rhs(cur + r["half_h"] * k1, chart, probe)
+        k3 = core.rhs(cur + r["half_h"] * k2, chart, probe)
+        k4 = core.rhs(cur + r["h"] * k3, chart, probe)
         nxt = cur + r["sixth_h"] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w, x, p = nxt.T     # views: they see the in-place fixes below
 
         move = np.abs(nxt - cur)
+        # the moves that need a closer look: w or x past the cap (wild), p
+        # past stiff_move (stiff; wild past 4 times that as well)
+        over = move > r["lim"]
+        moved = np.count_nonzero(over)
         # scheduled projection, plus a safety projection wherever the chart
         # variable is moving fast (stiff approach to a vertical direction,
         # where the 50-step cadence provably undershoots)
-        stiff = move[:, 2] > r["stiff_move"]
+        stiff = over[:, 2]
         scheduled = k % project_every == 0
         if scheduled and probe:
             core.project_gradient(nxt, qa)
-        elif scheduled or np.count_nonzero(stiff):
+        elif scheduled or (moved and np.count_nonzero(stiff)):
             rows = slice(None) if scheduled else stiff
             part = nxt[rows]
             _newton_p(core, part, qa[rows], 0.0)
             nxt[rows] = part
-        nonfinite = ~(np.isfinite(w) & np.isfinite(x) & np.isfinite(p))
-        wild = (
-            nonfinite
-            | (np.abs(p) > CHART_BOUND)
-            | (move[:, 2] > np.maximum(r["wild_move"],
-                                       0.02 * (1.0 + np.abs(cur[:, 2]))))
-            | (np.maximum(move[:, 0], move[:, 1]) > r["cap"])
-        )
+        # wild: a row out of `bounds` (non-finite or p past CHART_BOUND), a
+        # move past the cap, or a p move past wild_move and a few percent
+        # of 1 + |p|; most steps have none, which the counts show
+        inside = np.abs(nxt) <= bounds
+        if moved or np.count_nonzero(inside) < inside.size:
+            wild = ~inside.all(axis=1) | over[:, :2].any(axis=1) | (
+                move[:, 2] > np.maximum(r["wild_move"],
+                                        0.02 * (1.0 + np.abs(cur[:, 2]))))
+        else:
+            wild = np.zeros(len(nxt), dtype=bool)
+        nonfinite = wild    # no row: named only where some row is wild
         # a wild row keeps its last accepted sample, re-projected onto M in p
         if np.count_nonzero(wild):
+            nonfinite = ~np.isfinite(nxt).all(axis=1)
             frozen = cur[wild]
             _newton_p(core, frozen, qa[wild], 0.0)
             nxt[wild] = frozen
-        out = np.maximum(np.abs(w), np.abs(x)) > box
-        leaving = out & ~wild
-        if np.count_nonzero(leaving):
-            nxt[leaving] = _clip_box_exits(core, nxt[leaving], cur[leaving],
-                                           qa[leaving], box)
-        at = k - wild               # a wild row keeps its step count
+        stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART)]
+        if box < np.inf:     # probes run unboxed
+            out = np.maximum(np.abs(nxt[:, 0]), np.abs(nxt[:, 1])) > box
+            leaving = out & ~wild
+            if np.count_nonzero(leaving):
+                nxt[leaving] = _clip_box_exits(core, nxt[leaving], cur[leaving],
+                                               qa[leaving], box)
+            stops.append((out, TERM_BOX))
         if log is not None:
-            log.append((active, at, nxt, wild))
+            log.append((active, k - wild, nxt, wild))   # a wild row keeps its step count
 
-        # nonfinite rows are wild, so `stopped` needs only the later tests
-        stops = [(nonfinite, TERM_NONFINITE), (wild, TERM_CHART), (out, TERM_BOX)]
-        stopped = wild | out
         if sing.size:
+            w, x, p = nxt.T
             d2 = (w[:, None] ** 2 + x[:, None] ** 2
                   + (p[:, None] - r["sing"]) ** 2)
             stops.append((d2.min(axis=1) < SINGULAR_STOP**2, TERM_SINGULAR))
         if probe:
-            dw = w - r["center"][:, 0]
-            dp = p - r["center"][:, 1]
-            m = r["transform"]
-            dw, dp = (m[:, 0, 0] * dw + m[:, 0, 1] * dp,
-                      m[:, 1, 0] * dw + m[:, 1, 1] * dp)
-            r2 = dw * dw + dp * dp
-            stops += [(r2 < r["land"]**2, TERM_LANDED),
-                      (r2 > r["exit"]**2, TERM_EXITED)]
+            # (w, p) - center, after the row's transform, squared
+            d = r["transform"] * (nxt[:, ::2] - r["center"])[:, None, :]
+            d = d[:, :, 0] + d[:, :, 1]
+            d *= d
+            r2 = d[:, 0] + d[:, 1]
+            stops += [(r2 < r["land2"], TERM_LANDED),
+                      (r2 > r["exit2"], TERM_EXITED)]
         if scheduled:
             # a cadence of steps depends only on its start state: a row back
             # at it, bit for bit, would repeat itself until the step cap
             same = nxt.view(np.int64) == anchor[active].view(np.int64)
             stops.append((same.all(axis=1), TERM_STALLED))
             anchor[active] = nxt     # a copy: `nxt` itself is logged
-        for mask, _ in stops[3:]:
-            stopped |= mask
+        # nonfinite rows are wild, so `stopped` needs only the later tests
+        stopped = wild
+        for mask, _ in stops[2:]:
+            stopped = stopped | mask
         if not np.count_nonzero(stopped):
             cur = nxt
             continue
@@ -288,10 +306,11 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
             status[active[mask & ~named]] = term
             named |= mask
         S[active[stopped]] = nxt[stopped]
-        steps_used[active[stopped]] = at[stopped]
+        steps_used[active[stopped]] = k - wild[stopped]
         going = ~stopped
         active, cur = active[going], nxt[going]
         r = {name: col[active] for name, col in per_row.items()}
+        chart = _one_chart(r["q"])
 
     S[active] = cur
     steps_used[active] = max_steps

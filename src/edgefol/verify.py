@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,6 +225,8 @@ def _run_trials(fn, args_list, workers: int):
     workers = min(workers, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(a) for a in args_list]
+    # imported here: it loads multiprocessing, which no other path needs
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(args_list) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list, chunksize=chunk))

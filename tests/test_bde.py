@@ -183,10 +183,22 @@ def test_chart_q_is_chart_p_of_the_swapped_tensor():
         assert p.alpha_coefficients() == q.alpha_coefficients()
 
 
+# each evaluator of the compiled core, as (values, rows)
+EVALUATORS = {
+    "F_and_gradient": lambda core, S, q: np.array(core.F_and_gradient(S, q)),
+    "rhs": lambda core, S, q: core.rhs(S, q, False).T,
+    "rhs normalized": lambda core, S, q: core.rhs(S, q, True).T,
+    "residual": lambda core, S, q: core.residual(S, q)[None],
+    "residual_and_fp": lambda core, S, q: np.array(core.residual_and_fp(S, q)),
+}
+
+
 def test_table_rows_do_not_depend_on_their_batch():
-    """`F_and_gradient` evaluates each row on its own: a row's bits are the
-    same in a batch of 5,000 (three blocks), in a block evaluated apart, in
-    a batch of 64, 7 or 1, and with a scalar chart in place of the mask."""
+    """Each evaluator of the core evaluates each row on its own: a row's
+    bits are the same in a batch of 5,000 (three blocks), in a block
+    evaluated apart, in a batch of 64, 7 or 1, and with a scalar chart in
+    place of the mask.  `rhs` contracts its own table, without the F
+    columns, and is bit for bit `xi` of `F_and_gradient`."""
     rng = np.random.default_rng(15)
     for seed, scenario in ((0, "generic"), (1, "edge_degenerate"),
                            (2, "edge_degenerate")):
@@ -195,19 +207,38 @@ def test_table_rows_do_not_depend_on_their_batch():
             core = build_geometric_bde(jet, kind).core
             S = rng.uniform(-0.5, 0.5, (5000, 3)) * (1.0, 1.0, 10.0)
             q = rng.random(5000) < 0.5
-            full = np.array(core.F_and_gradient(S, q))
-            by_chart = [np.array(core.F_and_gradient(S, chart))
-                        for chart in (False, True)]
-            assert np.where(q, by_chart[1], by_chart[0]).tobytes() \
-                == full.tobytes()
-            for n, rows in ((EVAL_BLOCK, 5000), (64, 640), (7, 140), (1, 40)):
-                for lo in range(0, rows, n):
-                    part = slice(lo, lo + n)
-                    got = np.array(core.F_and_gradient(S[part], q[part]))
-                    assert got.tobytes() == full[:, part].tobytes()
-                    for chart in (False, True):
-                        got = np.array(core.F_and_gradient(S[part], chart))
-                        assert got.tobytes() == by_chart[chart][:, part].tobytes()
+            _, Fu, Fv, Fp = core.F_and_gradient(S, q)
+            assert core.rhs(S, q, False).tobytes() \
+                == _ChartCore.xi(S[:, 2], Fu, Fv, Fp).tobytes()
+            for name, evaluate in EVALUATORS.items():
+                full = evaluate(core, S, q)
+                by_chart = [evaluate(core, S, chart) for chart in (False, True)]
+                assert np.where(q, by_chart[1], by_chart[0]).tobytes() \
+                    == full.tobytes(), name
+                for n, rows in ((EVAL_BLOCK, 5000), (64, 640), (7, 140), (1, 40)):
+                    for lo in range(0, rows, n):
+                        part = slice(lo, lo + n)
+                        got = evaluate(core, S[part], q[part])
+                        assert got.tobytes() == full[:, part].tobytes(), name
+                        for chart in (False, True):
+                            got = evaluate(core, S[part], chart)
+                            assert got.tobytes() \
+                                == by_chart[chart][:, part].tobytes(), name
+
+
+def test_empty_batches_evaluate_to_empty_arrays():
+    """A batch of no rows, with an empty mask or a scalar chart, gives
+    each evaluator's arrays with no rows (`trace_portrait` checks the
+    seeds of an empty worklist)."""
+    core = build_geometric_bde(sample_generic_jet(0, "generic"),
+                               FoliationKind.CHARACTERISTIC).core
+    S = np.empty((0, 3))
+    for q in (np.zeros(0, dtype=bool), False, True):
+        assert [a.shape for a in core.F_and_gradient(S, q)] == [(0,)] * 4
+        assert [a.shape for a in core.residual_and_fp(S, q)] == [(0,)] * 2
+        assert core.residual(S, q).shape == (0,)
+        for normalize in (False, True):
+            assert core.rhs(S, q, normalize).shape == (0, 3)
 
 
 def _exact_columns(abc, dw, dx, u, v, p, sizes):

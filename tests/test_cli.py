@@ -323,12 +323,28 @@ def test_trial_pool_is_bounded(monkeypatch, workers, trials, cpus, pool):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     args = [(0, i) for i in range(trials)]
     assert verify._run_trials(verify._survey_trial, args, workers) \
         == [verify._survey_trial(a) for a in args]
     assert sizes == ([] if pool is None else [pool])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only `--workers` > 1 starts a pool, so importing the CLI loads
+    neither the process pool nor multiprocessing (a fresh interpreter:
+    this one has both by now)."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, edgefol.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', "
+             "'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_survey_deterministic_and_reports_frequencies(capsys):

@@ -13,7 +13,8 @@ from cusp_oracle import (
     edge_crossing_curve,
     surface_image,
 )
-from edgefol.bde import BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift
+from edgefol.bde import (BdeField, CHART_P, CHART_Q, Case, cubic_analysis, lift,
+                         _ChartCore)
 from edgefol.foliations import FoliationKind, build_geometric_bde
 from edgefol.jets import EdgeJet, sample_generic_jet
 from edgefol.poly import CompiledPolySet, Poly2
@@ -495,6 +496,45 @@ def test_recorded_batch_rows_match_one_row_batches():
         # forward half's
         assert curve[mixed.steps[i]].tobytes() == states[i].tobytes()
         assert curve[[0, -1]].tobytes() == mixed.final[halves].tobytes()
+
+
+def test_rhs_runs_four_times_per_step(monkeypatch):
+    """The loop evaluates the field four times per RK4 step, and only
+    there: over one recorded portrait batch and one probe batch, each with
+    rows of both charts, `rhs` runs four times the loop's iterations, the
+    largest step count of the batch."""
+    field = build_geometric_bde(sample_generic_jet(4, "generic"),
+                                FoliationKind.CHARACTERISTIC)
+    config = TraceConfig(box=0.15, seeds_per_side=8, max_steps=600)
+    seeds = [c for c in trace_portrait(field, config).curves if c.seed_index >= 0]
+    q = np.array([c.chart == CHART_Q for c in seeds])
+    states = _swap_uv(np.array([c.samples[c.seed_sample] for c in seeds]), q)
+    saddles = build_geometric_bde(THREE_SADDLES_JET, FoliationKind.ASYMPTOTIC)
+    analysis = cubic_analysis(lift(saddles, CHART_Q))
+    assert {_probe_circle(saddles, analysis, i).q
+            for i in range(len(analysis.roots))} == {True, False}
+
+    calls, runs = [0], []
+    rhs, batch = _ChartCore.rhs, tracer._integrate_batch
+
+    def counted_rhs(self, S, q, normalize):
+        calls[0] += 1
+        return rhs(self, S, q, normalize)
+
+    def recorded_batch(*args, **kwargs):
+        before = calls[0]
+        run = batch(*args, **kwargs)
+        runs.append((calls[0] - before, run))
+        return run
+
+    monkeypatch.setattr(_ChartCore, "rhs", counted_rhs)
+    monkeypatch.setattr(tracer, "_integrate_batch", recorded_batch)
+    tracer._integrate_batch(field.core, states, q, step=config.step,
+                            max_steps=config.max_steps, box=config.box)
+    local_sector_counts(saddles, analysis)
+    assert len(runs) == 2 and set(q) == {True, False}
+    for rhs_calls, run in runs:
+        assert rhs_calls == 4 * run.steps.max() > 0
 
 
 def test_seed_sample_is_the_backward_halfs():
