@@ -220,9 +220,9 @@ class _ChartCore:
     coordinates (w, x, p): (u, v, p) in chart p and (v, u, q) in chart q.
     F, F_w, F_x and F_p of both charts are derived exactly from
     `chart_tensor` and stored as one table over a shared list of monomials
-    w^i x^j p^k (a column per chart and value).  `rhs` contracts its
-    6-column copy without the F columns: a column's bits do not depend on
-    the others.
+    w^i x^j p^k (a column per chart and value).  `rhs` contracts a copy
+    of the F_w, F_x and F_p columns and `residual` one of the F columns: a
+    column's bits do not depend on the others.
     """
 
     def __init__(self, bde: BdeField):
@@ -231,7 +231,9 @@ class _ChartCore:
         monomials = sorted(set().union(*columns))
         self.table = np.array([[float(col.get(m, 0)) for col in columns]
                                for m in monomials]).reshape(-1, 8)
+        # the columns `rhs` and `residual` read, of both charts
         self.gradient_table = self.table[:, [1, 2, 3, 5, 6, 7]].copy()
+        self.value_table = self.table[:, [0, 4]].copy()
         exponents = np.array(monomials, dtype=np.intp).reshape(-1, 3)
         self.degree = int(exponents.max(initial=0))
         # each monomial's three factors, as rows of the power table below
@@ -296,7 +298,7 @@ class _ChartCore:
         return out
 
     def residual(self, S, q):
-        return self.F_and_gradient(S, q)[0]
+        return self._evaluate(S, q, self.value_table)[0]
 
     def residual_and_fp(self, S, q):
         F, _, _, Fp = self.F_and_gradient(S, q)

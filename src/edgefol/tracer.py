@@ -241,7 +241,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
         stiff = over[:, 2]
         scheduled = k % project_every == 0
         if scheduled and probe:
-            core.project_gradient(nxt, qa)
+            core.project_gradient(nxt, chart)
         elif scheduled or (moved and np.count_nonzero(stiff)):
             rows = slice(None) if scheduled else stiff
             part = nxt[rows]
