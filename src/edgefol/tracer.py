@@ -209,7 +209,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
     h, abs_h = step[:, None], np.abs(step)
     cap = np.maximum(0.05, 50.0 * abs_h)
     per_row = dict(q=q, h=h, half_h=0.5 * h, sixth_h=h / 6.0,
-                   lim=np.stack([cap, cap, 5.0 * abs_h], axis=1),
+                   move_bound=np.stack([cap, cap, 5.0 * abs_h], axis=1),
                    wild_move=20.0 * abs_h, sing=sing)
     if probe:
         center, land, exit_, transform = (np.concatenate([x, x]) for x in ball)
@@ -217,7 +217,7 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
                        transform=transform)
     r = per_row
     chart = _one_chart(q)
-    bounds = np.array([np.finfo(float).max] * 2 + [CHART_BOUND])
+    reach = np.array([np.finfo(float).max] * 2 + [CHART_BOUND])
     anchor = S.copy()   # each row's last scheduled state, indexed like S
     cur = S.copy()      # the active rows' states; S takes a row's when it stops
     for k in range(1, max_steps + 1):
@@ -232,8 +232,8 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
 
         move = np.abs(nxt - cur)
         # the moves that need a closer look: w or x past the cap (wild), p
-        # past stiff_move (stiff; wild past 4 times that as well)
-        over = move > r["lim"]
+        # past 5 |h| (stiff; wild past 20 |h| as well)
+        over = move > r["move_bound"]
         moved = np.count_nonzero(over)
         # scheduled projection, plus a safety projection wherever the chart
         # variable is moving fast (stiff approach to a vertical direction,
@@ -247,17 +247,17 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
             part = nxt[rows]
             _newton_p(core, part, qa[rows], 0.0)
             nxt[rows] = part
-        # wild: a row out of `bounds` (non-finite or p past CHART_BOUND), a
+        # wild: a row out of `reach` (non-finite, or p past CHART_BOUND), a
         # move past the cap, or a p move past wild_move and a few percent
-        # of 1 + |p|; most steps have none, which the counts show
-        inside = np.abs(nxt) <= bounds
+        # of 1 + |p|.  Most steps have none: two counts tell.
+        inside = np.abs(nxt) <= reach
         if moved or np.count_nonzero(inside) < inside.size:
             wild = ~inside.all(axis=1) | over[:, :2].any(axis=1) | (
                 move[:, 2] > np.maximum(r["wild_move"],
                                         0.02 * (1.0 + np.abs(cur[:, 2]))))
         else:
             wild = np.zeros(len(nxt), dtype=bool)
-        nonfinite = wild    # no row: named only where some row is wild
+        nonfinite = wild    # no row, unless some row is wild
         # a wild row keeps its last accepted sample, re-projected onto M in p
         if np.count_nonzero(wild):
             nonfinite = ~np.isfinite(nxt).all(axis=1)
@@ -273,7 +273,8 @@ def _integrate_batch(core: _ChartCore, seeds, q, *, step, max_steps,
                                                qa[leaving], box)
             stops.append((out, TERM_BOX))
         if log is not None:
-            log.append((active, k - wild, nxt, wild))   # a wild row keeps its step count
+            # a wild row keeps its step count
+            log.append((active, k - wild, nxt, wild))
 
         if sing.size:
             w, x, p = nxt.T
