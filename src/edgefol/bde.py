@@ -144,9 +144,10 @@ def delta_and_case(bde: BdeField):
 def origin_case(bde: BdeField, delta: Poly2, scale: float) -> Case:
     """Origin case of a BDE from its values at the origin, its discriminant
     `delta` (read to degree 1: the 2-jet will do) and its coefficient scale:
-    the one case split.  `delta_and_case` and `tracer.trace_portrait` read
-    it at the BDE's own scale, classification at both ends of a scale
-    bracket (`foliations._origin_case`).
+    the one case split, for a BDE that need not come from a jet.
+    `delta_and_case` and `tracer.trace_portrait` read it at the BDE's own
+    scale; classification of a jet reads its exact rule instead
+    (`foliations.classify_edge_foliation`).
 
     Zero tests are scale-free: coefficients are normalized by `scale`, the
     largest coefficient magnitude, before comparing against CASE_TOL.  Each

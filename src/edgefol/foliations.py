@@ -11,18 +11,21 @@ and of the structural factor v where one exists:
                        second-form data, divided by its overall factor v.
 
 Each kind's formula is written once (`_geometric_bde`): at degree 6 it
-builds the BDE that tracing integrates, at degree 2 it classifies lines of
-curvature and the characteristic foliation (`_origin_case`).
+builds the BDE that tracing integrates, at degree 2 the values that a
+classification document reads (`_two_jet`).
 
-For the asymptotic and characteristic equations the limiting normal
-curvature b20 decides everything at the origin: b20 != 0 gives a fold point
-whose solutions are a family of cusps, b20 = 0 gives an all-coefficients-
-vanish point governed by a cubic with closed-form coefficients in the jet.
+The origin case of every jet is exact on these formulas.  Lines of
+curvature have delta(0, 0) = b03^2/16 > 0: Case 1, a regular pair.  For
+the asymptotic and characteristic equations the limiting normal curvature
+b20 decides it: b20 != 0 gives a fold point (Case 2, transverse) whose
+solutions are a family of cusps, b20 = 0 gives an all-coefficients-vanish
+point (Case 3) governed by a cubic with closed-form coefficients in the jet.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,14 +40,11 @@ from .bde import (
     TopClass,
     analyse_cubic,
     classify_type2,
-    delta_and_case,
     discriminant_poly,
     hessian_det_origin,
-    origin_case,
 )
 from .errors import (
     CommonRoot,
-    DegenerateDiscriminant,
     DiscriminantNearZero,
     EdgefolError,
     PropositionHypothesisViolated,
@@ -84,9 +84,8 @@ def build_geometric_bde(jet: EdgeJet, kind: FoliationKind) -> BdeField:
 
     Coefficients are exact polynomials through total degree DEGREE_CAP
     (`_geometric_bde`).  Memoized for the last jet and kind (REQUEST_JETS),
-    keyed by the jet's values and coefficient types: a request that traces
-    a jet and classifies its asymptotic foliation builds the BDE once.  The
-    other two kinds classify from their exact 2-jet (`_origin_case`).
+    keyed by the jet's values and coefficient types.  Classification
+    builds no full BDE: it reads the 2-jet, where at all (`_two_jet`).
     """
     kind = FoliationKind(kind)
     return _geometric_bde(jet, form_polynomials(jet), kind, DEGREE_CAP)
@@ -121,44 +120,13 @@ def _geometric_bde(jet: EdgeJet, fp, kind: FoliationKind, cap: int) -> BdeField:
          - mul(2 * M2, mul(F, L2) - mul(E, M2))).divide_v())
 
 
-def _scale_bound(fp, kind: FoliationKind) -> float:
-    """An upper bound on the coefficient scale of the lines-of-curvature or
-    characteristic BDE at any cap, from its forms `fp`; it may raise
-    ArithmeticError or come out infinite.  Each coefficient sums products of
-    two forms with L1 norm 2 L^2 in all (lines of curvature), or of three
-    with 6 L^3 (characteristic), L the largest L1 norm of the six forms;
-    truncation and the division by v never raise a norm, and 1e-9 leaves
-    room for the rounding of the bound and of the BDE."""
-    norm = max(float(sum(map(abs, f.terms.values()))) for f in fp[:6])
-    bound = 2.0 * norm**2 if kind is FoliationKind.LINES_OF_CURVATURE else 6.0 * norm**3
-    return bound * (1.0 + 1e-9)
-
-
-def _origin_case(jet: EdgeJet, kind: FoliationKind):
-    """(BDE, delta 2-jet, case) as `delta_and_case` gives them for the full
-    BDE; the returned BDE agrees with the full one through degree 2.
-
-    Lines of curvature and the characteristic foliation are split from the
-    exact 2-jet at both ends of a bracket around the full coefficient scale:
-    the 2-jet's own scale (its coefficients are some of the full ones) and
-    `_scale_bound`.  Each case holds on one interval of scales
-    (`origin_case`), so one case at both ends is the full BDE's.  Where the
-    ends differ or either raises, the full BDE decides, as it always does
-    for the asymptotic kind.
-    """
-    if kind is not FoliationKind.ASYMPTOTIC:
-        fp = form_polynomials(jet)
-        jet2 = _geometric_bde(jet, fp, kind, 2)
-        delta = discriminant_poly(jet2, 2)
-        try:
-            ends = {origin_case(jet2, delta, scale)
-                    for scale in (jet2.coefficient_scale(), _scale_bound(fp, kind))}
-        except (ArithmeticError, ValueError, DegenerateDiscriminant):
-            ends = ()
-        if len(ends) == 1:
-            return jet2, delta, ends.pop()
-    bde = build_geometric_bde(jet, kind)
-    return (bde, *delta_and_case(bde))
+def _two_jet(jet: EdgeJet, kind: FoliationKind):
+    """(BDE 2-jet, delta 2-jet) of the kind, the full BDE's item for item;
+    OverflowError where the 2-jet's coefficients leave the float range."""
+    bde = _geometric_bde(jet, form_polynomials(jet), kind, 2)
+    if not math.isfinite(bde.coefficient_scale()):
+        raise OverflowError("BDE coefficients overflow the float range")
+    return bde, discriminant_poly(bde, 2)
 
 
 # --- closed-form analysis ---
@@ -191,15 +159,13 @@ def closed_forms(jet: EdgeJet, kind: FoliationKind):
 def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:
     """Which of the Type-2 classification hypotheses fail for this jet.
 
-    b20 is compared against HYPOTHESIS_TOL times the largest coefficient
-    magnitude; the derived quantities against HYPOTHESIS_TOL itself (it
-    lines up with the sampler's rejection margins, and the normalized
-    discriminant is re-tested inside the cubic analysis itself).
+    b20 = 0 is tested exactly, as `classify_edge_foliation` splits the
+    origin; the derived quantities against HYPOTHESIS_TOL (it lines up with
+    the sampler's rejection margins, and the normalized discriminant is
+    re-tested inside the cubic analysis itself).
     """
-    scale = max(1.0, *(abs(getattr(jet, k))
-                       for k in ("a20", "b20", "b30", "b12", "b03")))
     failed = []
-    if abs(jet.b20) > HYPOTHESIS_TOL * scale:
+    if jet.b20 != 0:
         failed.append("b20 = 0")
     deriv = invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12)
     if abs(deriv) <= HYPOTHESIS_TOL:
@@ -215,9 +181,9 @@ def hypothesis_failures(jet: EdgeJet, kind: FoliationKind) -> list[str]:
 def closed_form_analysis(jet: EdgeJet, kind: FoliationKind) -> CubicAnalysis:
     """CubicAnalysis from the closed-form cubic/eigenvalue coefficients.
 
-    Requires b20 = 0 (within HYPOTHESIS_TOL) and the remaining genericity
-    hypotheses; otherwise raises PropositionHypothesisViolated listing the
-    offenders.  Root and eigen data come from the same `analyse_cubic` as the
+    Requires b20 = 0 exactly and the remaining genericity hypotheses;
+    otherwise raises PropositionHypothesisViolated listing the offenders.
+    Root and eigen data come from the same `analyse_cubic` as the
     derivative-based path, but starting from the closed forms.
     """
     failed = hypothesis_failures(jet, kind)
@@ -273,9 +239,9 @@ def classify_edge_foliation(jet: EdgeJet, kind: FoliationKind) -> EdgeClassifica
     five Type-2 portraits when b20 = 0 under the genericity hypotheses;
     hypothesis failures, and jets whose float arithmetic overflows, are
     reported as Degenerate, never raised.  An overflow leaves out the
-    invariants it stopped and the case.  Lines of curvature and the
-    characteristic foliation are split from the exact 2-jet of their BDE,
-    with the full BDE's output (`_origin_case`).
+    invariants it stopped and the case.  The case is the exact rule of the
+    module docstring, with no tolerance; the BDE 2-jet is built only for
+    the invariants that read it (`_two_jet`).
     """
     kind = FoliationKind(kind)
     inv = {}
@@ -292,34 +258,15 @@ def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassificatio
         invariants.normal_curvature_derivative(jet.a20, jet.b30, jet.b12))
     inv["common_root_guard"] = float(
         invariants.common_root_guard(jet.b30, jet.b12, jet.b03))
-    try:
-        bde, delta, case = _origin_case(jet, kind)
-    except DegenerateDiscriminant as exc:
-        return EdgeClassification(kind, TopClass.DEGENERATE, None, inv,
-                                  degenerate_reason=f"{type(exc).__name__}: {exc}")
-
     if kind is FoliationKind.LINES_OF_CURVATURE:
+        bde, delta = _two_jet(jet, kind)
         inv["b_origin"] = float(bde.B.coeff(0, 0))
         inv["delta_origin"] = float(delta.coeff(0, 0))
-        # b03 != 0 keeps B(0, 0) off zero, but a large coefficient scale can
-        # put it under CASE_TOL (b12 = 1e20 gives Case 3): Degenerate
-        if case is not Case.CASE1_REGULAR:
-            return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
-                                      degenerate_reason=f"unexpected case {case.value}")
-        return EdgeClassification(kind, TopClass.REGULAR_PAIR, case, inv)
+        return EdgeClassification(kind, TopClass.REGULAR_PAIR, Case.CASE1_REGULAR, inv)
+    if jet.b20 != 0:
+        return EdgeClassification(kind, TopClass.CUSP_FAMILY, Case.CASE2_TRANSVERSE, inv)
 
-    if case in (Case.CASE2_TRANSVERSE, Case.CASE2_TANGENT):
-        if case is Case.CASE2_TANGENT:
-            return EdgeClassification(
-                kind, TopClass.DEGENERATE, case, inv,
-                degenerate_reason="unique direction tangent to the discriminant",
-            )
-        return EdgeClassification(kind, TopClass.CUSP_FAMILY, case, inv)
-
-    if case is not Case.CASE3:
-        return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
-                                  degenerate_reason=f"unexpected case {case.value}")
-
+    delta = _two_jet(jet, kind)[1]
     try:
         analysis = closed_form_analysis(jet, kind)
         inv["D"] = analysis.D
@@ -331,6 +278,6 @@ def _classify(jet: EdgeJet, kind: FoliationKind, inv: dict) -> EdgeClassificatio
         top = classify_type2(analysis, hess)
     except EdgefolError as exc:
         inv.setdefault("D", float(closed_forms(jet, kind)[2]))
-        return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
+        return EdgeClassification(kind, TopClass.DEGENERATE, Case.CASE3, inv,
                                   degenerate_reason=f"{type(exc).__name__}: {exc}")
-    return EdgeClassification(kind, top, case, inv, analysis=analysis)
+    return EdgeClassification(kind, top, Case.CASE3, inv, analysis=analysis)

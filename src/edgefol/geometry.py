@@ -23,14 +23,14 @@ from .poly import CompiledPolySet, Poly2
 # Entries kept by each memo keyed by a jet: `form_polynomials` and
 # `foliations.build_geometric_bde`.  Reuse happens inside one request, with no
 # other jet in between: the three foliations of a jet share its form
-# polynomials, and a portrait's BDE serves its trace (and the classification
-# of an asymptotic foliation).  One entry keeps every such hit.  The only
-# reuse it gives up is across requests: `verify.documented_discrepancies`
-# rebuilds the forms of its two constant jets on every run, 0.48 ms against
-# 0.23 ms, of a 55-75 ms one-trial `run_verify`.  An entry held longer only
-# adds exact polynomials for the collector to promote and walk: over 36,000
-# classify requests (2-core Xeon, Python 3.11.7) 8 entries took 23
-# generation-2 collections of 10-13 ms, one entry 5.
+# polynomials (classification reads them and builds no full BDE).  One entry
+# keeps every such hit.  The only reuse it gives up is across requests:
+# `verify.documented_discrepancies` rebuilds the forms of its two constant
+# jets on every run, 0.48 ms against 0.23 ms, of a 55-75 ms one-trial
+# `run_verify`.  An entry held longer only adds exact polynomials for the
+# collector to promote and walk: over 36,000 classify requests (2-core Xeon,
+# Python 3.11.7) 8 entries took 23 generation-2 collections of 10-13 ms, one
+# entry 5.
 REQUEST_JETS = 1
 
 

@@ -1,5 +1,6 @@
 """Geometric BDEs of the edge: construction, closed forms, classification."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,6 +17,7 @@ from edgefol.bde import (
     SIGN_CONVENTION_NOTE,
     Case,
     TopClass,
+    classify_type2,
     cubic_analysis,
     delta_and_case,
     discriminant_poly,
@@ -23,8 +25,13 @@ from edgefol.bde import (
     lift,
     unique_direction_at_origin,
 )
-from edgefol.errors import PropositionHypothesisViolated
+from edgefol.errors import (
+    DegenerateDiscriminant,
+    EdgefolError,
+    PropositionHypothesisViolated,
+)
 from edgefol.foliations import (
+    EdgeClassification,
     FoliationKind,
     build_geometric_bde,
     classify_edge_foliation,
@@ -34,7 +41,11 @@ from edgefol.foliations import (
     parse_kind,
 )
 from edgefol.geometry import REQUEST_JETS, form_polynomials, surface_polynomials
-from edgefol.invariants import cubic_discriminant
+from edgefol.invariants import (
+    common_root_guard,
+    cubic_discriminant,
+    normal_curvature_derivative,
+)
 from edgefol.jets import EdgeJet, sample_generic_jet, validate_jet
 from edgefol.render import curves_to_csv
 from edgefol.tracer import (
@@ -76,6 +87,31 @@ def test_lc_origin_values():
     assert float(field.A.coeff(0, 0)) == 0.0
     assert math.isclose(field.B.coeff(0, 0), jet.b03 / 4, rel_tol=1e-12)
     assert math.isclose(field.C.coeff(0, 0), jet.b12, rel_tol=1e-12)
+
+
+def test_two_jet_origin_values_on_symbols():
+    """The values the classifier's case rule rests on, from the shipped
+    `form_polynomials` and `_geometric_bde(..., cap=2)` run on symbols:
+    lines of curvature have delta(0, 0) = b03^2/16 > 0 (Case 1, as b03 != 0);
+    the asymptotic and characteristic BDEs vanish at the origin but for C,
+    a multiple of b20, and grad delta(0, 0) lies along v, a nonzero multiple
+    of b20, so b20 != 0 is Case 2 transverse and b20 = 0 Case 3."""
+    a20, a30, b20, b30, b12, b03 = sp.symbols("a20 a30 b20 b30 b12 b03")
+    jet = EdgeJet(a20, a30, b20, b30, b12, b03)
+    fp = form_polynomials(jet)
+
+    def origin(kind):
+        bde = foliations._geometric_bde(jet, fp, kind, 2)
+        delta = discriminant_poly(bde, 2)
+        values = [f.coeff(0, 0) for f in (bde.A, bde.B, bde.C)]
+        values += [delta.coeff(0, 0), delta.coeff(1, 0), delta.coeff(0, 1)]
+        return [sp.expand(v) for v in values]
+
+    _, B, _, delta, _, _ = origin(FoliationKind.LINES_OF_CURVATURE)
+    assert (B, delta) == (b03 / 4, b03**2 / 16)
+    assert origin(FoliationKind.ASYMPTOTIC) == [0, 0, b20, 0, 0, -b03 * b20 / 2]
+    _, _, C, _, d_u, d_v = origin(FoliationKind.CHARACTERISTIC)
+    assert (C, d_u, d_v) == (-b03 * b20 / 2, 0, b03**3 * b20 / 8)
 
 
 def test_closed_forms_match_derivative_extraction():
@@ -384,6 +420,13 @@ def test_alpha_is_phi_prime_minus_c3_p_squared(kind):
         assert sp.expand(got - factor * want) == 0
 
 
+# the CI's flat.json: a generic jet whose small b20 puts the characteristic
+# delta and its differential under CASE_TOL at the origin
+FLAT_JET = EdgeJet(
+    a20=1.8326254198917673, a30=-1.1288815147959674, b20=0.00016399349644413697,
+    b30=0.8770688933117707, b12=-1.9014670044780781, b03=0.14352657812054792)
+
+
 def test_classify_output_bytes_pinned():
     # sha256 of the classification JSON of the worked three-saddles and
     # one-saddle jets and twenty sampled Type-2 jets, both Type-2 kinds: the
@@ -411,16 +454,15 @@ def test_classify_degenerate_on_stratum_never_raises():
             assert cls.degenerate_reason
 
 
-def test_classify_degenerate_discriminant_reported_not_raised():
-    # generic jet with a tiny b20: the characteristic delta and its
-    # differential both vanish at the origin within tolerance
-    jet = EdgeJet(a20=1.8326254198917673, a30=-1.1288815147959674,
-                  b20=0.00016399349644413697, b30=0.8770688933117707,
-                  b12=-1.9014670044780781, b03=0.14352657812054792)
-    cls = classify_edge_foliation(jet, FoliationKind.CHARACTERISTIC)
-    assert cls.top_class is TopClass.DEGENERATE
-    assert cls.degenerate_reason.startswith("DegenerateDiscriminant")
-    assert json.loads(cls.to_json())["degenerate_reason"]
+def test_classify_small_b20_is_a_cusp_family(full_builds):
+    """A generic jet with a small b20: its characteristic delta and the
+    differential of delta are under CASE_TOL at the origin, so `origin_case`
+    reads DegenerateDiscriminant, but b20 != 0 is Case 2 transverse exactly,
+    read without building the BDE."""
+    cls = classify_edge_foliation(FLAT_JET, FoliationKind.CHARACTERISTIC)
+    assert (cls.top_class, cls.case) == (TopClass.CUSP_FAMILY, Case.CASE2_TRANSVERSE)
+    assert cls.degenerate_reason is None
+    assert full_builds == []
 
 
 def test_closed_form_analysis_error_lists_failures():
@@ -428,6 +470,13 @@ def test_closed_form_analysis_error_lists_failures():
         closed_form_analysis(EdgeJet(0.0, 0.0, 1.0, 0.5, 0.0, 1.0),
                              FoliationKind.ASYMPTOTIC)
     assert "b20 = 0" in info.value.failed
+
+    # b20 = 1e-12 is not b20 = 0: classify answers CuspFamily, and the
+    # closed forms refuse the jet rather than analyse it as Type 2
+    with pytest.raises(PropositionHypothesisViolated) as info:
+        closed_form_analysis(EdgeJet(0.0, 0.0, 1e-12, 0.1, -1.0, 1.0),
+                             FoliationKind.ASYMPTOTIC)
+    assert info.value.failed == ["b20 = 0"]
 
     with pytest.raises(PropositionHypothesisViolated) as info:
         closed_form_analysis(EdgeJet(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),
@@ -444,30 +493,16 @@ def test_closed_forms_refuse_lines_of_curvature(part):
         closed_forms(jet, FoliationKind.LINES_OF_CURVATURE)[part]
 
 
-def test_classify_and_build_share_one_cache_entry(monkeypatch):
-    # classification and tracing of one jet must assemble its BDE once
-    from edgefol import foliations
-    seen = []
-
-    def recording_delta_and_case(bde):
-        seen.append(bde)
-        return delta_and_case(bde)
-
-    monkeypatch.setattr(foliations, "delta_and_case", recording_delta_and_case)
+def test_classify_and_build_share_one_cache_entry():
+    # classification and tracing of one jet assemble its BDE once: the
+    # trace's build, since classification builds no full BDE
     jet = sample_generic_jet(9, "edge_degenerate")
     build_geometric_bde.cache_clear()
-    classify_edge_foliation(jet, FoliationKind.ASYMPTOTIC)
-    bde = build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
+    for kind in FoliationKind:
+        classify_edge_foliation(jet, kind)
+    build_geometric_bde(jet, FoliationKind.ASYMPTOTIC)
     info = build_geometric_bde.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert seen == [bde] and seen[0] is bde
-
-
-# the jet of test_classify_degenerate_discriminant_reported_not_raised
-DEGENERATE_DISCRIMINANT_JET = EdgeJet(
-    a20=1.8326254198917673, a30=-1.1288815147959674, b20=0.00016399349644413697,
-    b30=0.8770688933117707, b12=-1.9014670044780781, b03=0.14352657812054792)
-TWO_JET_KINDS = (FoliationKind.LINES_OF_CURVATURE, FoliationKind.CHARACTERISTIC)
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
 
 def _items(poly):
@@ -477,7 +512,7 @@ def _items(poly):
 def test_two_jet_bde_is_the_full_bde_truncated():
     """The assembly at cap 2, which classification reads, is the full BDE's
     2-jet item for item (values, types and key order), and so is its delta
-    2-jet; the 2-jet's scale and `_scale_bound` bracket the full scale."""
+    2-jet."""
     jets = [sample_generic_jet(seed, scenario) for seed in range(200)
             for scenario in ("generic", "edge_degenerate")]
     jets += [EdgeJet(*(Fraction(x) for x in ("0", "0", "0", "1/10", "-1", "1"))),
@@ -485,7 +520,7 @@ def test_two_jet_bde_is_the_full_bde_truncated():
                      Fraction(1, 7), Fraction(-1), Fraction(3, 2))]
     for jet in jets:
         fp = form_polynomials(jet)
-        for kind in TWO_JET_KINDS:
+        for kind in FoliationKind:
             full = build_geometric_bde(jet, kind)
             jet2 = foliations._geometric_bde(jet, fp, kind, 2)
             for part, whole in zip((jet2.A, jet2.B, jet2.C),
@@ -493,8 +528,6 @@ def test_two_jet_bde_is_the_full_bde_truncated():
                 assert _items(part) == _items(whole.truncated(2)), (jet, kind)
             assert _items(discriminant_poly(jet2, 2)) \
                 == _items(discriminant_poly(full, math.inf).truncated(2))
-            scale = full.coefficient_scale()
-            assert jet2.coefficient_scale() <= scale <= foliations._scale_bound(fp, kind)
 
 
 @pytest.fixture
@@ -510,57 +543,87 @@ def full_builds(monkeypatch):
     return calls
 
 
-def test_uncertified_case_falls_back_to_the_full_bde(full_builds):
-    """The degenerate-discriminant jet reads Case2Transverse at the 2-jet's
-    scale and DegenerateDiscriminant at the bound, so the full BDE decides,
-    with the bytes the full-BDE classifier gave; a generic jet's lines of
-    curvature and characteristic foliation build no full BDE."""
-    cls = classify_edge_foliation(DEGENERATE_DISCRIMINANT_JET,
-                                  FoliationKind.CHARACTERISTIC)
-    assert full_builds == [FoliationKind.CHARACTERISTIC]
-    assert hashlib.sha256(cls.to_json().encode()).hexdigest() == (
-        "7fa1937ae147bc21d36300fb6fb568b136fbad67b6fd89a59749148f7942f0df")
-    full_builds.clear()
-    for kind in TWO_JET_KINDS:
-        classify_edge_foliation(sample_generic_jet(3, "edge_degenerate"), kind)
-    assert full_builds == []
+def _full_bde_classification(jet, kind):
+    """The classifier before the exact case rule, kept as a reference: the
+    full BDE's case from `delta_and_case`, then its branch order."""
+    inv = {}
+
+    def degenerate(case, reason):
+        return EdgeClassification(kind, TopClass.DEGENERATE, case, inv,
+                                  degenerate_reason=reason)
+
+    try:
+        inv["b20"] = jet.b20
+        inv["b30_minus_a20_b12"] = float(
+            normal_curvature_derivative(jet.a20, jet.b30, jet.b12))
+        inv["common_root_guard"] = float(
+            common_root_guard(jet.b30, jet.b12, jet.b03))
+        bde = build_geometric_bde(jet, kind)
+        try:
+            delta, case = delta_and_case(bde)
+        except DegenerateDiscriminant as exc:
+            return degenerate(None, f"{type(exc).__name__}: {exc}")
+        if kind is FoliationKind.LINES_OF_CURVATURE:
+            inv["b_origin"] = float(bde.B.coeff(0, 0))
+            inv["delta_origin"] = float(delta.coeff(0, 0))
+            if case is not Case.CASE1_REGULAR:
+                return degenerate(case, f"unexpected case {case.value}")
+            return EdgeClassification(kind, TopClass.REGULAR_PAIR, case, inv)
+        if case is Case.CASE2_TANGENT:
+            return degenerate(case, "unique direction tangent to the discriminant")
+        if case is Case.CASE2_TRANSVERSE:
+            return EdgeClassification(kind, TopClass.CUSP_FAMILY, case, inv)
+        if case is not Case.CASE3:
+            return degenerate(case, f"unexpected case {case.value}")
+        try:
+            analysis = closed_form_analysis(jet, kind)
+            inv["D"] = analysis.D
+            inv["phi"] = list(analysis.phi)
+            inv["alpha"] = list(analysis.alpha)
+            inv["alpha_at_roots"] = [r.alpha for r in analysis.per_root]
+            hess = hessian_det_origin(delta)
+            inv["hessian_det"] = hess
+            top = classify_type2(analysis, hess)
+        except EdgefolError as exc:
+            inv.setdefault("D", float(closed_forms(jet, kind)[2]))
+            return degenerate(case, f"{type(exc).__name__}: {exc}")
+        return EdgeClassification(kind, top, case, inv, analysis=analysis)
+    except OverflowError as exc:
+        return degenerate(None, f"{type(exc).__name__}: {exc}")
 
 
 def test_overflowing_jets_keep_their_bytes(full_builds):
-    """a20 = 1e200 overflows the forms, so the scale bound is infinite and
-    every kind reaches the full BDE, whose overflow is the reason; b12 =
-    1e150 overflows an invariant before any BDE is built.  The documents are
-    the full-BDE classifier's, byte for byte."""
-    digest = hashlib.sha256()
+    """a20 = 1e200 overflows the lines-of-curvature 2-jet, whose overflow is
+    the reason; with b20 = 0 the other two kinds reach the closed forms,
+    whose `**` overflow is theirs.  b12 = 1e150 overflows an invariant
+    before any BDE is built.  The documents are the full-BDE classifier's,
+    byte for byte, but for the characteristic a20 = 1e200 reason: its full
+    BDE overflows before the closed forms, its 2-jet does not."""
     for record in OVERFLOW_JETS:
+        jet = validate_jet(record)
         for kind in FoliationKind:
-            full_builds.clear()
-            cls = classify_edge_foliation(validate_jet(record), kind)
-            digest.update(cls.to_json().encode())
-            assert full_builds == ([kind] if record["a20"] == 1e200 else [])
-    assert digest.hexdigest() == (
-        "1b0878482f325ea1c9c2258b9d4b3c9c7ffc1ec0b61e6d0e3db5eeda8fb56d26")
+            got = classify_edge_foliation(jet, kind)
+            want = _full_bde_classification(jet, kind)
+            if record["a20"] == 1e200 and kind is FoliationKind.CHARACTERISTIC:
+                assert want.degenerate_reason == (
+                    "OverflowError: BDE coefficients overflow the float range")
+                assert got.degenerate_reason.startswith("OverflowError: ")
+                got = dataclasses.replace(got, degenerate_reason=want.degenerate_reason)
+            assert got.to_json() == want.to_json(), (record, kind)
+    assert full_builds == []
 
 
-def test_two_jet_documents_equal_full_bde_documents(monkeypatch, full_builds):
-    """Classification from the 2-jet writes the documents that the full BDE
-    gives every kind, on 2000 sampled jets.  73 of their 4000
-    lines-of-curvature and characteristic classifications (1.8 %) fall back
-    to the full BDE."""
+def test_two_jet_documents_equal_full_bde_documents(full_builds):
+    """The exact case rule writes the documents that the full-BDE
+    classifier (`_full_bde_classification`) gives every kind, byte for
+    byte, on 2000 sampled jets, and builds no full BDE for them."""
     jets = [sample_generic_jet(seed, scenario) for seed in range(1000)
             for scenario in ("generic", "edge_degenerate")]
-    docs = [classify_edge_foliation(jet, kind).to_json()
-            for jet in jets for kind in FoliationKind]
-    fallbacks = sum(kind is not FoliationKind.ASYMPTOTIC for kind in full_builds)
-
-    def full_bde_case(jet, kind):
-        bde = build_geometric_bde(jet, kind)
-        return (bde, *delta_and_case(bde))
-
-    monkeypatch.setattr(foliations, "_origin_case", full_bde_case)
-    assert docs == [classify_edge_foliation(jet, kind).to_json()
-                    for jet in jets for kind in FoliationKind]
-    assert fallbacks == 73
+    for jet in jets:
+        for kind in FoliationKind:
+            assert classify_edge_foliation(jet, kind).to_json() \
+                == _full_bde_classification(jet, kind).to_json(), (jet, kind)
+    assert full_builds == []
 
 
 MEMOS = (build_geometric_bde, form_polynomials)
@@ -637,7 +700,7 @@ def test_memo_reuse_inside_one_request():
     curves_to_csv(portrait, jet)
     project_to_surface(jet, portrait)
     builds = build_geometric_bde.cache_info()
-    assert (builds.misses, builds.hits) == (1, 1)
+    assert (builds.misses, builds.hits) == (1, 0)
 
 
 def test_hypothesis_guard_example():
@@ -668,10 +731,10 @@ def test_top_class_invariant_under_normal_form_reflections():
                     assert got is want, (scenario, seed, kind, name)
 
 
-# the jets the CI step classifies: the flat characteristic jet (a case the
-# 2-jet cannot certify) and three whose float arithmetic overflows or nearly
+# the jets the CI step classifies: the flat jet and three whose float
+# arithmetic overflows or nearly
 MIRROR_CI_JETS = (
-    DEGENERATE_DISCRIMINANT_JET,
+    FLAT_JET,
     EdgeJet(0.0, 0.0, 0.0, 0.1, 1e150, 1.0),
     EdgeJet(0.0, 0.0, 0.0, 0.1, 1e20, 1.0),
     EdgeJet(1e200, 0.0, 0.0, 0.1, -1.0, 1.0),
@@ -701,21 +764,20 @@ def test_mirrored_jet_classifies_as_the_mirror_image():
                 assert abs(r.root - root) <= 1e-12 * max(1.0, abs(root))
 
 
-def test_lines_of_curvature_at_a_huge_scale_read_case3_degenerate():
-    """b03 != 0 keeps B(0, 0) = 0.25 off zero, but b12 = 1e20 makes the
-    coefficient scale so large that B(0, 0) falls under CASE_TOL: the origin
-    reads Case 3, and lines of curvature are Degenerate, not a wrong class."""
+def test_lines_of_curvature_at_a_huge_scale_are_a_regular_pair():
+    """b12 = 1e20 makes the coefficient scale so large that B(0, 0) = 0.25
+    falls under CASE_TOL, but delta(0, 0) = b03^2/16 > 0 is Case 1 for every
+    jet: lines of curvature are a regular pair at any scale."""
     jet = validate_jet({"a20": 0, "a30": 0, "b20": 0, "b30": 0.1, "b12": 1e20,
                         "b03": 1})
     document = {
         "kind": "lc",
-        "top_class": "Degenerate",
-        "case": "Case3",
+        "top_class": "RegularPair",
+        "case": "Case1Regular",
         "invariants": {"b20": 0.0, "b30_minus_a20_b12": 0.1,
                        "common_root_guard": 4e60, "b_origin": 0.25,
                        "delta_origin": 0.0625},
         "convention_note": SIGN_CONVENTION_NOTE,
-        "degenerate_reason": "unexpected case Case3",
     }
     cls = classify_edge_foliation(jet, FoliationKind.LINES_OF_CURVATURE)
     assert cls.to_json() == json.dumps(document, indent=2)
@@ -764,7 +826,6 @@ def test_overflowing_jet_is_degenerate_not_raised(record, kind):
 def test_classifier_agrees_between_closed_form_and_derivative_routes():
     """classify via closed forms equals classify_type2 on the derivative-based
     cubic analysis of the constructed BDE."""
-    from edgefol.bde import classify_type2
     for seed in range(80):
         jet = sample_generic_jet(seed, "edge_degenerate")
         for kind in KINDS:
